@@ -1,15 +1,22 @@
 """Exact sparse arithmetic for polynomials and tensor powers of k[x1..xd].
 
 Coefficients are arbitrary-precision rationals (fractions.Fraction); all
-equality checks are exact.  Sparse maps never store zero coefficients, so
-identities can be verified by normalizing differences to the empty map.
-Monomials are exponent tuples; the deterministic iteration order used for
-serialization and reports is graded lexicographic.
+equality checks are exact.  Monomials are exponent tuples; the
+deterministic iteration order used for serialization and reports is graded
+lexicographic.
+
+Kernel invariant: a sparse map's `terms` dict holds only nonzero Fraction
+values, so identities are verified by reducing differences to the empty
+map.  The public constructors coerce and drop zeros; `_Sparse._trusted`
+wraps, without copying or coercing, a dict that already holds only
+nonzero Fractions.  Sums are accumulated in place on plain dicts with
+`bump` and `axpy`, which keep that invariant when they are fed Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import comb, factorial as int_factorial
 
@@ -123,6 +130,11 @@ def splittings(m, parts):
     multinomial coefficient m!/(m1!...mk!), i.e. the multiplicity of the
     term m1 x ... x mk in the iterated comultiplication of m.
     """
+    yield from _splittings(m, parts)
+
+
+@lru_cache(maxsize=4096)
+def _splittings(m, parts):
     per_var = []
     for n in m:
         opts = []
@@ -134,6 +146,7 @@ def splittings(m, parts):
                 rem -= e
             opts.append((c, compo))
         per_var.append(opts)
+    out = []
     for choice in product(*per_var):
         coeff = 1
         for c, _ in choice:
@@ -141,7 +154,30 @@ def splittings(m, parts):
         factors = tuple(
             Monomial(compo[j] for _, compo in choice)
             for j in range(parts))
-        yield Fraction(coeff), factors
+        out.append((Fraction(coeff), factors))
+    return tuple(out)
+
+
+def bump(acc, key, c):
+    """acc[key] += c in place, dropping the key when the sum is zero."""
+    if key in acc:
+        s = acc[key] + c
+        if s:
+            acc[key] = s
+        else:
+            del acc[key]
+    elif c:
+        acc[key] = c
+
+
+def axpy(acc, terms, c=1):
+    """acc += c * terms in place, on plain key -> coefficient dicts."""
+    if c == 1:
+        for k, v in terms.items():
+            bump(acc, k, v)
+    elif c:
+        for k, v in terms.items():
+            bump(acc, k, c * v)
 
 
 class _Sparse:
@@ -157,6 +193,13 @@ class _Sparse:
                 if v:
                     clean[k] = v
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, terms):
+        """Wrap a dict of nonzero Fractions as is: no copy, no coercion."""
+        obj = object.__new__(cls)
+        obj.terms = terms
+        return obj
 
     def is_zero(self):
         return not self.terms
@@ -176,27 +219,24 @@ class _Sparse:
         if type(self) is not type(other):
             return NotImplemented
         out = dict(self.terms)
-        for k, v in other.terms.items():
-            s = out.get(k, 0) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return type(self)(out)
+        axpy(out, other.terms)
+        return self._trusted(out)
 
     def __neg__(self):
-        return type(self)({k: -v for k, v in self.terms.items()})
+        return self._trusted({k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other):
         if type(self) is not type(other):
             return NotImplemented
-        return self + (-other)
+        out = dict(self.terms)
+        axpy(out, other.terms, -1)
+        return self._trusted(out)
 
     def scale(self, c):
         c = Fraction(c)
         if not c:
-            return type(self)()
-        return type(self)({k: c * v for k, v in self.terms.items()})
+            return self._trusted({})
+        return self._trusted({k: c * v for k, v in self.terms.items()})
 
     def __rmul__(self, c):
         if isinstance(c, (int, Fraction)):
@@ -241,13 +281,8 @@ class Poly(_Sparse):
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                k = m1 * m2
-                s = out.get(k, 0) + c1 * c2
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return Poly(out)
+                bump(out, m1 * m2, c1 * c2)
+        return Poly._trusted(out)
 
     def coeff(self, m):
         return self.terms.get(m, Fraction(0))
@@ -265,8 +300,8 @@ class Poly(_Sparse):
             e = m[i]
             if e:
                 dm = Monomial(v - 1 if j == i else v for j, v in enumerate(m))
-                out[dm] = out.get(dm, 0) + c * e
-        return Poly(out)
+                out[dm] = c * e
+        return Poly._trusted(out)
 
     def truncate(self, max_degree):
         """Drop all terms of degree > max_degree."""
@@ -328,12 +363,13 @@ def _check_same_ambient(u, v):
 
 def t2_swap(t):
     """The transposition a(x)b -> b(x)a, extended linearly."""
-    return Tensor2({(b, a): c for (a, b), c in t.terms.items()})
+    return Tensor2._trusted({(b, a): c for (a, b), c in t.terms.items()})
 
 
 def t3_cycle(t):
     """The order-3 cycle a(x)b(x)c -> c(x)a(x)b, extended linearly."""
-    return Tensor3({(c3, c1, c2): v for (c1, c2, c3), v in t.terms.items()})
+    return Tensor3._trusted(
+        {(c3, c1, c2): v for (c1, c2, c3), v in t.terms.items()})
 
 
 def cyclic_sum(t):
@@ -363,22 +399,15 @@ def tensor3_mul(u, v):
     out = {}
     for k1, c1 in u.terms.items():
         for k2, c2 in v.terms.items():
-            k = tuple(a * b for a, b in zip(k1, k2))
-            s = out.get(k, 0) + c1 * c2
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-    return Tensor3(out)
+            bump(out, tuple(a * b for a, b in zip(k1, k2)), c1 * c2)
+    return Tensor3._trusted(out)
 
 
 def poly_tensor_poly(f, g):
     """f (x) g as a Tensor2."""
-    out = {}
-    for m1, c1 in f.terms.items():
-        for m2, c2 in g.terms.items():
-            out[(m1, m2)] = out.get((m1, m2), 0) + c1 * c2
-    return Tensor2(out)
+    return Tensor2._trusted({(m1, m2): c1 * c2
+                             for m1, c1 in f.terms.items()
+                             for m2, c2 in g.terms.items()})
 
 
 def default_names(d):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 
 from .algebra import (
     DegreeBoundError,
@@ -132,26 +133,24 @@ def _check_registry(spec):
         return _copoisson_checks(make_copoisson(I), I)
     if kind == "qmap":
         return _copoisson_checks(spec.structure)
-    if kind == "poisson":
-        B = spec.structure
-        reg = {"jacobi": (lambda N: N, lambda N: check_jacobi(B, N))}
+    if kind in ("poisson", "struct_consts"):
+        if kind == "poisson":
+            B = spec.structure
+            reg = {}
+        else:
+            c = spec.structure
+            B = linear_poisson(c)
+            reg = {"linear-relations": (lambda N: 1,
+                                        lambda N: check_linear_relations(c))}
+        reg["jacobi"] = (lambda N: N, lambda N: check_jacobi(B, N))
         if not B.series_mode:
-            reg["poisson-hopf"] = (
-                lambda N: N, lambda N: check_poisson_hopf_compat(B, N))
-            reg["eps-s"] = (lambda N: N,
-                            lambda N: check_eps_s_morphisms(B, N))
+            # eps-s needs the compatibility verdict; compute it once per N
+            compat = lru_cache(maxsize=None)(
+                lambda N: check_poisson_hopf_compat(B, N))
+            reg["poisson-hopf"] = (lambda N: N, compat)
+            reg["eps-s"] = (lambda N: N, lambda N: check_eps_s_morphisms(
+                B, N, compat(N)))
         return reg
-    if kind == "struct_consts":
-        c = spec.structure
-        B = linear_poisson(c)
-        return {
-            "linear-relations": (lambda N: 1,
-                                 lambda N: check_linear_relations(c)),
-            "jacobi": (lambda N: N, lambda N: check_jacobi(B, N)),
-            "poisson-hopf": (lambda N: N,
-                             lambda N: check_poisson_hopf_compat(B, N)),
-            "eps-s": (lambda N: N, lambda N: check_eps_s_morphisms(B, N)),
-        }
     if kind == "finhopf":
         # the Hopf axioms were validated exactly while loading
         def passed(N):
@@ -168,6 +167,8 @@ SELECTOR_ALIASES = {
 
 
 def cmd_check(args, out):
+    if args.max_degree is not None and args.max_degree < 0:
+        raise UsageError("--max-degree must be a non-negative integer")
     spec = load_spec(args.spec)
     registry = _check_registry(spec)
     if args.checks:

@@ -84,6 +84,11 @@ def _require(cond, msg):
         raise SpecFormatError(msg)
 
 
+def _is_int(v):
+    """A JSON integer; true and false are not integers here."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _decode_poisson(variables, max_degree, payload):
     _require(isinstance(payload.get("brackets"), dict),
              "poisson payload needs a \"brackets\" object")
@@ -128,7 +133,7 @@ def _decode_copoisson(variables, max_degree, payload):
             _require(isinstance(ent, list) and len(ent) == 3,
                      f"lambda entries must be [i, j, rational]{where}")
             i, j, val = ent
-            _require(isinstance(i, int) and isinstance(j, int) and i < j,
+            _require(_is_int(i) and _is_int(j) and i < j,
                      f"entries must have i<j{where}")
             _require(1 <= i and j <= d,
                      f"lambda indices out of range 1..{d}{where}")
@@ -151,7 +156,7 @@ def _decode_struct_consts(variables, max_degree, payload):
         _require(isinstance(ent, list) and len(ent) == 4,
                  f"lambda entries must be [i, j, l, rational]{where}")
         i, j, l, val = ent
-        _require(all(isinstance(v, int) for v in (i, j, l)),
+        _require(all(_is_int(v) for v in (i, j, l)),
                  f"lambda indices must be integers{where}")
         _require(i < j, f"entries must have i<j{where}")
         _require(1 <= i and j <= d and 1 <= l <= d,
@@ -168,7 +173,7 @@ def _decode_finhopf(payload):
     for key in ("dim", "basis", "mult", "unit", "comult", "counit", "antipode"):
         _require(key in payload, f"finhopf payload needs \"{key}\"")
     n = payload["dim"]
-    _require(isinstance(n, int) and n >= 1, "finhopf dim must be a positive integer")
+    _require(_is_int(n) and n >= 1, "finhopf dim must be a positive integer")
     _require(isinstance(payload["basis"], list) and len(payload["basis"]) == n,
              "finhopf basis must list dim names")
 
@@ -263,7 +268,7 @@ def spec_from_dict(doc):
     _require(len(set(variables)) == len(variables),
              "variable names must be unique")
     max_degree = doc.get("max_degree", 0)
-    _require(isinstance(max_degree, int) and max_degree >= 0,
+    _require(_is_int(max_degree) and max_degree >= 0,
              "\"max_degree\" must be a non-negative integer")
     payload = doc.get("payload")
     _require(isinstance(payload, dict), "\"payload\" must be an object")

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .algebra import bump
+
 
 # --- exact rational linear algebra ---------------------------------------
 
@@ -131,7 +133,7 @@ class FinHopf:
             if not u[i]:
                 continue
             for (j, k), w in comult_indexed(self, i).items():
-                _bump(out, (j, k), u[i] * w)
+                bump(out, (j, k), u[i] * w)
         return out
 
     def counit_vec(self, u):
@@ -167,9 +169,9 @@ class FinHopf:
             rhs = {}
             for (a, b), w in comult_indexed(self, i).items():
                 for (a1, a2), w2 in comult_indexed(self, a).items():
-                    _bump(lhs, (a1, a2, b), w * w2)
+                    bump(lhs, (a1, a2, b), w * w2)
                 for (b1, b2), w2 in comult_indexed(self, b).items():
-                    _bump(rhs, (a, b1, b2), w * w2)
+                    bump(rhs, (a, b1, b2), w * w2)
             if lhs != rhs:
                 raise HopfAxiomError(f"coassociativity fails on basis {i}")
         for i in range(n):
@@ -197,14 +199,6 @@ class FinHopf:
                 raise HopfAxiomError(f"antipode axiom fails on basis {i}")
 
 
-def _bump(d, key, val):
-    s = d.get(key, 0) + val
-    if s:
-        d[key] = s
-    else:
-        d.pop(key, None)
-
-
 def comult_indexed(H, i):
     """Nonzero entries of Delta(e_i) as {(j, k): coeff}."""
     out = {}
@@ -221,7 +215,7 @@ def comult2_indexed(H, i):
     out = {}
     for (a, b), w in comult_indexed(H, i).items():
         for (a1, a2), w2 in comult_indexed(H, a).items():
-            _bump(out, (a1, a2, b), w * w2)
+            bump(out, (a1, a2, b), w * w2)
     return out
 
 
@@ -230,7 +224,7 @@ def comult3_indexed(H, i):
     out = {}
     for (a, b, c), w in comult2_indexed(H, i).items():
         for (a1, a2), w2 in comult_indexed(H, a).items():
-            _bump(out, (a1, a2, b, c), w * w2)
+            bump(out, (a1, a2, b, c), w * w2)
     return out
 
 
@@ -238,8 +232,8 @@ def cocommutator_vec(H, i):
     """Delta'(e_i) = Delta(e_i) - t2 Delta(e_i) as {(j, k): coeff}."""
     out = {}
     for (j, k), w in comult_indexed(H, i).items():
-        _bump(out, (j, k), w)
-        _bump(out, (k, j), -w)
+        bump(out, (j, k), w)
+        bump(out, (k, j), -w)
     return out
 
 
@@ -247,7 +241,7 @@ def tensor_concat(acc, t1, t2, w):
     """acc += w * (t1 (x) t2) for indexed tensors (key tuples concatenate)."""
     for k1, v1 in t1.items():
         for k2, v2 in t2.items():
-            _bump(acc, k1 + k2, w * v1 * v2)
+            bump(acc, k1 + k2, w * v1 * v2)
 
 
 # --- stock examples -------------------------------------------------------
@@ -703,12 +697,12 @@ def cojacobi_residual(H, qvals):
         t = {}
         for (a, b), w in qvals[c].items():
             for (j, k), w2 in qvals[a].items():
-                _bump(t, (j, k, b), w * w2)
+                bump(t, (j, k, b), w * w2)
         cyc = {}
         for (v1, v2, v3), w in t.items():
-            _bump(cyc, (v1, v2, v3), w)
-            _bump(cyc, (v3, v1, v2), w)
-            _bump(cyc, (v2, v3, v1), w)
+            bump(cyc, (v1, v2, v3), w)
+            bump(cyc, (v3, v1, v2), w)
+            bump(cyc, (v2, v3, v1), w)
         for j in range(n):
             for k in range(n):
                 for l in range(n):

@@ -14,11 +14,11 @@ from fractions import Fraction
 
 from .algebra import (
     DegreeBoundError,
-    Monomial,
     Poly,
     Tensor2,
     Tensor3,
-    binomial,
+    axpy,
+    bump,
     splittings,
     t2_swap,
     tensor2_mul,
@@ -27,26 +27,20 @@ from .algebra import (
 
 def comult(a):
     """Delta(x^a) = sum over b <= a of binom(a, b) x^b (x) x^(a-b)."""
-    out = {}
-    for coeff, (b, c) in splittings(a, 2):
-        out[(b, c)] = coeff
-    return Tensor2(out)
+    return Tensor2._trusted({bc: coeff for coeff, bc in splittings(a, 2)})
 
 
 def comult_poly(f):
     """Linear extension of comult to polynomials."""
-    out = Tensor2()
+    out = {}
     for m, c in f.terms.items():
-        out = out + comult(m).scale(c)
-    return out
+        axpy(out, comult(m).terms, c)
+    return Tensor2._trusted(out)
 
 
 def comult2(a):
     """Delta^(2)(x^a): the trinomial splitting sum in A(x)A(x)A."""
-    out = {}
-    for coeff, (b, c, e) in splittings(a, 3):
-        out[(b, c, e)] = coeff
-    return Tensor3(out)
+    return Tensor3._trusted({bce: coeff for coeff, bce in splittings(a, 3)})
 
 
 def counit(f):
@@ -95,10 +89,10 @@ class QMap:
         return self.assignments.get(m, Tensor2())
 
     def apply_poly(self, f):
-        out = Tensor2()
+        out = {}
         for m, c in f.terms.items():
-            out = out + self(m).scale(c)
-        return out
+            axpy(out, self(m).terms, c)
+        return Tensor2._trusted(out)
 
 
 @dataclass
@@ -124,12 +118,12 @@ def q_from_i(I, a):
         raise DegreeBoundError(
             f"I needed up to degree {a.degree}, table bound is "
             f"{I.domain_degree_bound}", required=a.degree)
-    out = Tensor2()
+    out = {}
     for coeff, (b, c) in splittings(a, 2):
         iv = I(b)
         if iv:
-            out = out + tensor2_mul(iv, comult(c)).scale(coeff)
-    return out
+            axpy(out, tensor2_mul(iv, comult(c)).terms, coeff)
+    return Tensor2._trusted(out)
 
 
 def i_from_q(q, a):
@@ -138,13 +132,13 @@ def i_from_q(q, a):
         raise DegreeBoundError(
             f"q needed up to degree {a.degree}, table bound is "
             f"{q.domain_degree_bound}", required=a.degree)
-    out = Tensor2()
+    out = {}
     for coeff, (b, c) in splittings(a, 2):
         qv = q(b)
         if qv:
             sign = -1 if c.degree % 2 else 1
-            out = out + tensor2_mul(qv, comult(c)).scale(sign * coeff)
-    return out
+            axpy(out, tensor2_mul(qv, comult(c)).terms, sign * coeff)
+    return Tensor2._trusted(out)
 
 
 def p_from_j(J, a, b):
@@ -153,13 +147,13 @@ def p_from_j(J, a, b):
         raise DegreeBoundError(
             f"J needed at degrees ({a.degree},{b.degree}), table bound is "
             f"{J.domain_degree_bound}", required=max(a.degree, b.degree))
-    out = Poly()
+    out = {}
     for ca, (a1, a2) in splittings(a, 2):
         for cb, (b1, b2) in splittings(b, 2):
             jv = J(a1, b1)
             if jv:
-                out = out + (jv * Poly.from_monomial(a2 * b2)).scale(ca * cb)
-    return out
+                axpy(out, (jv * Poly.from_monomial(a2 * b2)).terms, ca * cb)
+    return Poly._trusted(out)
 
 
 def j_from_p(p, a, b):
@@ -168,53 +162,53 @@ def j_from_p(p, a, b):
         raise DegreeBoundError(
             f"p needed at degrees ({a.degree},{b.degree}), table bound is "
             f"{p.domain_degree_bound}", required=max(a.degree, b.degree))
-    out = Poly()
+    out = {}
     for ca, (a1, a2) in splittings(a, 2):
         for cb, (b1, b2) in splittings(b, 2):
             pv = p(a1, b1)
             if pv:
                 sign = -1 if (a2.degree + b2.degree) % 2 else 1
-                out = out + (pv * Poly.from_monomial(a2 * b2)).scale(
-                    sign * ca * cb)
-    return out
+                axpy(out, (pv * Poly.from_monomial(a2 * b2)).terms,
+                     sign * ca * cb)
+    return Poly._trusted(out)
 
 
 # Tensor3-valued helpers used by the axiom checks.
 
 def delta_left(t):
     """(Delta (x) 1) applied to a Tensor2."""
-    out = Tensor3()
+    out = {}
     for (u, v), c in t.terms.items():
         for coeff, (u1, u2) in splittings(u, 2):
-            out = out + Tensor3.from_triple(u1, u2, v, c * coeff)
-    return out
+            bump(out, (u1, u2, v), c * coeff)
+    return Tensor3._trusted(out)
 
 
 def delta_right(t):
     """(1 (x) Delta) applied to a Tensor2."""
-    out = Tensor3()
+    out = {}
     for (u, v), c in t.terms.items():
         for coeff, (v1, v2) in splittings(v, 2):
-            out = out + Tensor3.from_triple(u, v1, v2, c * coeff)
-    return out
+            bump(out, (u, v1, v2), c * coeff)
+    return Tensor3._trusted(out)
 
 
 def q_left(t, q):
     """(q (x) 1) applied to a Tensor2; needs q at the left tensor factors."""
-    out = Tensor3()
+    out = {}
     for (u, v), c in t.terms.items():
         for (w1, w2), cq in q(u).terms.items():
-            out = out + Tensor3.from_triple(w1, w2, v, c * cq)
-    return out
+            bump(out, (w1, w2, v), c * cq)
+    return Tensor3._trusted(out)
 
 
 def q_right(t, q):
     """(1 (x) q) applied to a Tensor2."""
-    out = Tensor3()
+    out = {}
     for (u, v), c in t.terms.items():
         for (w1, w2), cq in q(v).terms.items():
-            out = out + Tensor3.from_triple(u, w1, w2, c * cq)
-    return out
+            bump(out, (u, w1, w2), c * cq)
+    return Tensor3._trusted(out)
 
 
 def q_outer_left_degree(t):

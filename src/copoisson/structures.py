@@ -18,11 +18,13 @@ from .algebra import (
     Monomial,
     Poly,
     Tensor2,
+    axpy,
+    bump,
     factorial,
     monomials,
     splittings,
 )
-from .hopf import QMap, comult, q_from_i
+from .hopf import QMap, q_from_i
 
 
 @dataclass(frozen=True)
@@ -163,13 +165,13 @@ class BracketTable:
 
 def poisson_bracket(B, f, g):
     """{f, g} = sum_ij (df/dx_i)(dg/dx_j) f_ij (truncated in series mode)."""
-    out = Poly()
+    out = {}
     for (i, j), fij in B.f.items():
         if fij.is_zero():
             continue
         term = (f.partial(i) * g.partial(j) - f.partial(j) * g.partial(i)) * fij
-        out = out + term
-    return B._reduce(out)
+        axpy(out, term.terms)
+    return B._reduce(Poly._trusted(out))
 
 
 def bracket_monomials(B, a, b):
@@ -305,19 +307,19 @@ def tensor_copoisson(qC, qD):
     for m in monomials(d, M):
         a = Monomial(m[:d1])
         b = Monomial(m[d1:])
-        out = Tensor2()
+        out = {}
         for (u, v), cq in qC(a).terms.items():
             for cb, (b1, b2) in splittings(b, 2):
                 key = (_embed(u, 0, d2) * _embed(b1, d1, 0),
                        _embed(v, 0, d2) * _embed(b2, d1, 0))
-                out = out + Tensor2({key: cq * cb})
+                bump(out, key, cq * cb)
         for ca, (a1, a2) in splittings(a, 2):
             for (u, v), cq in qD(b).terms.items():
                 key = (_embed(a1, 0, d2) * _embed(u, d1, 0),
                        _embed(a2, 0, d2) * _embed(v, d1, 0))
-                out = out + Tensor2({key: ca * cq})
+                bump(out, key, ca * cq)
         if out:
-            assignments[m] = out
+            assignments[m] = Tensor2._trusted(out)
     return QMap(d=d, domain_degree_bound=M, assignments=assignments)
 
 

@@ -187,6 +187,11 @@ def test_eps_s_morphisms():
     bad = BracketTable(d=2, f={(0, 1): Poly.from_monomial(mono(2, 0))})
     rep2 = check_eps_s_morphisms(bad, 3)
     assert rep2.skipped and rep2.passed
+    # a precomputed compatibility report gives the same verdict
+    for br, N in ((B, 4), (bad, 3)):
+        compat = check_poisson_hopf_compat(br, N)
+        assert (check_eps_s_morphisms(br, N, compat).to_dict()
+                == check_eps_s_morphisms(br, N).to_dict())
 
 
 def test_antipode_coanti(rng):

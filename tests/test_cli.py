@@ -122,6 +122,73 @@ def test_bound_error_exit_code():
                 "--max-degree", "7"])[0] == 2
 
 
+def test_negative_max_degree_is_a_usage_error():
+    code, text = run(["check", COP_D2, "--checks", "skew",
+                      "--max-degree", "-1"])
+    assert code == 2
+    assert "PASS" not in text
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "copoisson", "variables": ["x1", "x2"], "max_degree": True,
+     "payload": {"rows": []}},
+    {"kind": "copoisson", "variables": ["x1", "x2"], "max_degree": 1,
+     "payload": {"rows": [{"monomial": "x1", "lambda": [[True, 2, "1"]]}]}},
+    {"kind": "struct_consts", "variables": ["x1", "x2"], "max_degree": 1,
+     "payload": {"lambda": [[1, 2, True, "1"]]}},
+])
+def test_bool_is_not_an_integer(tmp_path, doc):
+    with pytest.raises(SpecFormatError):
+        spec_from_dict(doc)
+    p = tmp_path / "spec.json"
+    p.write_text(dump_json(doc))
+    code, text = run(["check", str(p)])
+    assert code == 3
+    assert "PASS" not in text
+
+
+def test_finhopf_dim_rejects_bool():
+    with open(H4) as fh:
+        doc = json.load(fh)
+    doc["payload"]["dim"] = True
+    with pytest.raises(SpecFormatError,
+                       match="dim must be a positive integer"):
+        spec_from_dict(doc)
+
+
+def test_eps_s_reuses_the_compat_report(tmp_path, monkeypatch):
+    # eps-s sorts first, reads the poisson-hopf verdict and is skipped
+    # exactly when that verdict is a failure; compat runs once per check
+    import copoisson.checks
+    import copoisson.cli
+
+    calls = []
+    compat = copoisson.checks.check_poisson_hopf_compat
+
+    def counted(B, N):
+        calls.append(N)
+        return compat(B, N)
+
+    for mod in (copoisson.checks, copoisson.cli):
+        monkeypatch.setattr(mod, "check_poisson_hopf_compat", counted)
+    quad = tmp_path / "quad.json"
+    quad.write_text(dump_json({
+        "kind": "poisson", "variables": ["x1", "x2"], "max_degree": 3,
+        "payload": {"brackets": {"1,2": "x1^2"}, "mode": "polynomial"}}))
+    seen = set()
+    for path in (SO3, str(quad)):
+        code, text = run(["check", path, "--format", "json",
+                          "--max-degree", "3"])
+        checks = [c["check"] for c in json.loads(text)["checks"]]
+        assert checks.index("eps-s-morphisms") < checks.index("poisson-hopf")
+        by_name = {c["check"]: c for c in json.loads(text)["checks"]}
+        passed = by_name["poisson-hopf"]["passed"]
+        assert by_name["eps-s-morphisms"].get("skipped", False) == (not passed)
+        seen.add(passed)
+    assert seen == {True, False}
+    assert calls == [3, 3]
+
+
 def test_transform_struct_consts_to_copoisson():
     code, text = run(["transform", SO3, "--to", "copoisson"])
     assert code == 0
