@@ -1,0 +1,100 @@
+"""Byte-for-byte pins of the CLI output on the fixtures.
+
+Each case runs `cli.main` in process and compares the sha256 of stdout and
+the exit code with values recorded from a known-good build.  A refactor
+that keeps behaviour must keep every digest; a deliberate change of output
+must update the digest it changes and say why.
+"""
+
+import hashlib
+import io
+import json
+
+import pytest
+
+from copoisson.cli import main
+from copoisson.fileformat import dump_json
+
+from conftest import FIXTURES
+
+
+def run(args):
+    out = io.StringIO()
+    code = main(args, out=out)
+    return code, out.getvalue()
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def fixture_args(args):
+    return [str(FIXTURES / a) if a.endswith(".json") else a for a in args]
+
+
+GOLDEN = [
+    (["check", "so3.json", "--format", "json"],
+     0, "308d70845a3308df080030c2b7c7288531164d1b52f0c722ba08bf55aee311c2"),
+    (["check", "counterex_n5.json", "--format", "json"],
+     0, "d71613f427aaeee102d75d0e79de424867bda6f8a085d029a21b2d7b38b679b0"),
+    (["check", "copoisson_d2.json", "--format", "json"],
+     1, "be98b26a4b6351c5680011f713cfd5e9598ce0a369e348cebf3c2bd98ded6229"),
+    (["check", "copoisson_d2.json", "--format", "text"],
+     1, "e4465385e691ab1470d1cd1e23250343dc073ad3f36c90ba27bb047b04404698"),
+    (["check", "h4.json", "--format", "json"],
+     0, "1ba9e34ee303c2c2dc886d18187178f1cddab21d5caa7ec2e44441e614225901"),
+    (["transform", "so3.json", "--to", "copoisson"],
+     0, "3b8bf80690e8baffa520d814c12f17e8c006f1c9748b3b69b15c14deed0807e7"),
+    (["transform", "counterex_n5.json", "--to", "p"],
+     0, "10f3b3eb05d54bb900e7a7593c329f86a56e98fd177e6be3147077456642f159"),
+    (["transform", "copoisson_d2.json", "--to", "q"],
+     0, "2e15a0704a61717b8ac64c3c3b719623c2743609fce0e2e7a7ef0cfa1d176ebd"),
+    (["transform", "copoisson_d2.json", "--to", "series"],
+     0, "f5f836133d0ed35fdc9b30aaa1de04e6c9833f45fa3f3023ccc75fa1064b1b5f"),
+    (["classify-h4", "--structure", "poisson", "--format", "text"],
+     0, "49e60ee51b79db730b0767081fd19df279e507f2cb68fbf2a1d7a92bde883c34"),
+    (["classify-h4", "--structure", "poisson", "--format", "text", "--hopf"],
+     0, "ebdb457eb91f0dda6653dd47cf75fe57f77bd0fada5060592ce3b255f9179fe4"),
+    (["classify-h4", "--structure", "copoisson", "--format", "text"],
+     0, "4d86ab43d13d2a9869db27b66117761f4a8a91528412c52ad0dbc7cb33333ccc"),
+    (["classify-h4", "--structure", "copoisson", "--format", "text",
+      "--hopf"],
+     0, "57028f42e4832298274a7e5ab41664f420c062be48e23a18b123e40de38cdc39"),
+    (["relations", "--dim", "4"],
+     0, "0cadddc3899d8dfd2e1ed1e5a58dcde3c0b0a5d3142d8e634e21b507742b03a7"),
+]
+
+
+@pytest.mark.parametrize("args,code,digest", GOLDEN,
+                         ids=[" ".join(a) for a, _, _ in GOLDEN])
+def test_cli_output_is_pinned(args, code, digest):
+    got_code, text = run(fixture_args(args))
+    assert (got_code, sha256(text)) == (code, digest)
+
+
+# second-stage transforms: the first output document, written canonically,
+# is transformed again
+CHAINED = [
+    ("so3.json", "copoisson", "q",
+     0, "2435fcd199f0438e8168be8371e4fd038b6c2239b465940ba05ef278011b5233"),
+    ("so3.json", "copoisson", "series",
+     0, "ec961ba2425df736539da6d421e131cdcf6e1128cc152c5b9342e68be3146cf7"),
+    ("copoisson_d2.json", "q", "i",
+     0, "04aa21e74f866fee24079cfa988d1d19cdd8e95bc16031b0aa05aee718aa3216"),
+    ("copoisson_d2.json", "series", "copoisson",
+     0, "bb3968c96724fefb9a174697e5fa5d2c835ec598021dbe9b5f7f0ad10e2d2c29"),
+]
+
+
+@pytest.mark.parametrize("fixture,first,second,code,digest", CHAINED,
+                         ids=[f"{f} --to {a} --to {b}"
+                              for f, a, b, _, _ in CHAINED])
+def test_chained_transform_is_pinned(tmp_path, fixture, first, second, code,
+                                     digest):
+    first_code, text = run(["transform", str(FIXTURES / fixture),
+                            "--to", first])
+    assert first_code == 0
+    mid = tmp_path / "mid.json"
+    mid.write_text(dump_json(json.loads(text)["transforms"][0]["output"]))
+    got_code, text2 = run(["transform", str(mid), "--to", second])
+    assert (got_code, sha256(text2)) == (code, digest)
