@@ -13,8 +13,7 @@ from .algebra import (
     factorial,
     format_monomial,
     format_poly,
-    format_tensor2,
-    format_tensor3,
+    format_tensor,
     grlex_key,
     monomials,
     poly_tensor_poly,
@@ -69,7 +68,7 @@ from .checks import (
     cojacobi_affordable_degree,
     in_skew_generator_space,
 )
-from .dual import SeriesElement, dual_bracket, dual_mul, pairing, verify_main5_roundtrip
+from .dual import dual_bracket, pairing, verify_main5_roundtrip
 from .finite import (
     FinHopf,
     LinearFamily,

@@ -384,13 +384,8 @@ def tensor2_mul(u, v):
     out = {}
     for (a, b), c1 in u.terms.items():
         for (c, d), c2 in v.terms.items():
-            k = (a * c, b * d)
-            s = out.get(k, 0) + c1 * c2
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-    return Tensor2(out)
+            bump(out, (a * c, b * d), c1 * c2)
+    return Tensor2._trusted(out)
 
 
 def tensor3_mul(u, v):
@@ -455,13 +450,8 @@ def format_poly(p, names=None):
     return _format_terms(p.items_sorted(), lambda m: format_monomial(m, names))
 
 
-def format_tensor2(t, names=None):
-    def render(key):
-        return "(x)".join(format_monomial(m, names) for m in key)
-    return _format_terms(t.items_sorted(), render)
-
-
-def format_tensor3(t, names=None):
+def format_tensor(t, names=None):
+    """A Tensor2 or Tensor3, with factors joined by "(x)"."""
     def render(key):
         return "(x)".join(format_monomial(m, names) for m in key)
     return _format_terms(t.items_sorted(), render)

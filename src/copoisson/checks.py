@@ -21,8 +21,7 @@ from .algebra import (
     cyclic_sum,
     format_monomial,
     format_poly,
-    format_tensor2,
-    format_tensor3,
+    format_tensor,
     format_coeff,
     grlex_key,
     monomials,
@@ -31,6 +30,12 @@ from .algebra import (
     t2_swap,
     t3_cycle,
     tensor2_mul,
+)
+from .finite import (
+    cocommutator_vec,
+    comult3_indexed,
+    comult_indexed,
+    tensor_concat,
 )
 from .hopf import (
     antipode,
@@ -113,7 +118,7 @@ def check_skew(q, N):
         v = q(m)
         res = v + t2_swap(v)
         if res:
-            col.violation(format_monomial(m), format_tensor2(res))
+            col.violation(format_monomial(m), format_tensor(res))
     return col.report()
 
 
@@ -146,7 +151,7 @@ def check_cojacobi(q, N):
     for m in monomials(q.d, N):
         res = cyclic_sum(q_left(q(m), q))
         if res:
-            col.violation(format_monomial(m), format_tensor3(res))
+            col.violation(format_monomial(m), format_tensor(res))
     return col.report()
 
 
@@ -179,7 +184,7 @@ def check_coleibniz(q, N, form="definition"):
             rhs = t - t3_cycle(t)
         res = lhs - rhs
         if res:
-            col.violation(format_monomial(m), format_tensor3(res))
+            col.violation(format_monomial(m), format_tensor(res))
     return col.report()
 
 
@@ -217,7 +222,7 @@ def check_delta_derivation(q, N):
             if res:
                 col.violation(
                     f"({format_monomial(a)}, {format_monomial(b)})",
-                    format_tensor2(res))
+                    format_tensor(res))
     return col.report()
 
 
@@ -304,7 +309,7 @@ def check_poisson_hopf_compat(B, N):
             if res:
                 col.violation(
                     f"({format_monomial(a)}, {format_monomial(b)})",
-                    format_tensor2(Tensor2._trusted(res)))
+                    format_tensor(Tensor2._trusted(res)))
     return col.report()
 
 
@@ -334,7 +339,7 @@ def check_support_condition(I):
     for m in sorted(I.rows, key=grlex_key):
         if m.degree != 1 and not I.rows[m].is_zero():
             col.violation(format_monomial(m),
-                          format_tensor2(I.rows[m].to_tensor2()))
+                          format_tensor(I.rows[m].to_tensor2()))
     return col.report()
 
 
@@ -383,7 +388,7 @@ def check_antipode_coanti(q, N):
         rhs = t2_swap(antipode_tensor2(q(m)))
         res = lhs - rhs
         if res:
-            col.violation(format_monomial(m), format_tensor2(res))
+            col.violation(format_monomial(m), format_tensor(res))
     return col.report()
 
 
@@ -408,8 +413,6 @@ def check_dual_of_abcd(H, qvals):
     Also checks the corollary identity built from Delta^(3).  `qvals` maps
     each basis index to an H(x)H tensor (dict (j,k) -> Fraction).
     """
-    from .finite import (
-        cocommutator_vec, comult_indexed, comult3_indexed, tensor_concat)
     col = _Collector("dual-of-abcd", 0)
     n = H.dim
     for c in range(n):

@@ -43,6 +43,8 @@ from .fileformat import (
     spec_to_dict,
 )
 from .finite import (
+    brackets_from_vector,
+    qvals_from_vector,
     quadratic_residual_family,
     solve_copoisson_family,
     solve_poisson_family,
@@ -54,6 +56,7 @@ from .structures import (
     BracketTable,
     ITable,
     SkewMatrix,
+    bracket_monomials,
     copoisson_from_series,
     itable_from_consts,
     linear_poisson,
@@ -269,7 +272,6 @@ def cmd_transform(args, out):
     elif kind == "poisson" and to == "p":
         if s.series_mode:
             raise UsageError("poisson --to p is defined in polynomial mode")
-        from .structures import bracket_monomials
         assignments = {}
         for a in monomials(s.d, spec.max_degree):
             for b in monomials(s.d, spec.max_degree):
@@ -295,17 +297,8 @@ def cmd_transform(args, out):
 
 # --- classify-h4 command --------------------------------------------------
 
-def _fmt_fin_vec(H, vec):
-    parts = []
-    for i, v in enumerate(vec):
-        if v:
-            c = format_coeff(v)
-            parts.append(H.basis_names[i] if c == "1"
-                         else f"{c}*{H.basis_names[i]}")
-    return " + ".join(parts) if parts else "0"
-
-
 def _fmt_fin_tensor2(H, t):
+    """{index tuple: coeff} on the basis of H, H(x)H, ... as text."""
     parts = []
     for key in sorted(t):
         c = format_coeff(t[key])
@@ -315,8 +308,6 @@ def _fmt_fin_tensor2(H, t):
 
 
 def cmd_classify_h4(args, out):
-    from .finite import brackets_from_vector, qvals_from_vector
-
     H = sweedler_h4()
     if args.structure == "poisson":
         fam = solve_poisson_family(H, hopf_compat=args.hopf)
@@ -326,10 +317,11 @@ def cmd_classify_h4(args, out):
             br = brackets_from_vector(H, vec)
             lines = []
             for (i, j) in sorted(br):
-                if any(br[(i, j)]):
+                terms = {(k,): v for k, v in enumerate(br[(i, j)]) if v}
+                if terms:
                     lines.append(
                         f"{{{H.basis_names[i]},{H.basis_names[j]}}} = "
-                        f"{_fmt_fin_vec(H, br[(i, j)])}")
+                        f"{_fmt_fin_tensor2(H, terms)}")
             members.append(lines)
     else:
         fam = solve_copoisson_family(H, hopf_compat=args.hopf)
@@ -436,7 +428,7 @@ def main(argv=None, out=None):
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
         return args.func(args, out)
-    except (SpecFormatError, ParseError, FileNotFoundError) as e:
+    except (SpecFormatError, ParseError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except (UsageError, DegreeBoundError) as e:

@@ -14,13 +14,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import (
-    Monomial,
-    Poly,
     Tensor2,
+    format_coeff,
     format_monomial,
     format_poly,
     grlex_key,
 )
+from .finite import FinHopf
 from .hopf import PMap, QMap
 from .parser import ParseError, parse_poly
 from .structures import BracketTable, ITable, SkewMatrix, StructConsts
@@ -32,13 +32,6 @@ KINDS = ("poisson", "copoisson", "struct_consts", "finhopf", "qmap", "pmap")
 
 class SpecFormatError(ValueError):
     """A structure file violates the interchange schema."""
-
-
-def format_rational(v):
-    v = Fraction(v)
-    if v.denominator == 1:
-        return str(v.numerator)
-    return f"{v.numerator}/{v.denominator}"
 
 
 def parse_rational(s, where=""):
@@ -168,8 +161,6 @@ def _decode_struct_consts(variables, max_degree, payload):
 
 
 def _decode_finhopf(payload):
-    from .finite import FinHopf
-
     for key in ("dim", "basis", "mult", "unit", "comult", "counit", "antipode"):
         _require(key in payload, f"finhopf payload needs \"{key}\"")
     n = payload["dim"]
@@ -291,26 +282,27 @@ def spec_from_dict(doc):
 
 
 def load_spec(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise SpecFormatError(f"{path}: invalid JSON: {e}") from None
+    except json.JSONDecodeError as e:
+        raise SpecFormatError(f"{path}: invalid JSON: {e}") from None
+    except OSError as e:
+        raise SpecFormatError(
+            f"{path}: cannot read: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise SpecFormatError(f"{path}: not UTF-8 text: {e}") from None
     return spec_from_dict(doc)
 
 
 # --- canonical serialization ---------------------------------------------
-
-def _poly_str(p, names):
-    return format_poly(p, names)
-
 
 def poisson_payload(B, names):
     brackets = {}
     for (i, j) in sorted(B.f):
         p = B.f[(i, j)]
         if p:
-            brackets[f"{i + 1},{j + 1}"] = _poly_str(p, names)
+            brackets[f"{i + 1},{j + 1}"] = format_poly(p, names)
     return {"brackets": brackets,
             "mode": "series" if B.series_mode else "polynomial"}
 
@@ -326,7 +318,7 @@ def copoisson_payload(I, names):
             for j in range(i + 1, I.d):
                 v = mat[i, j]
                 if v:
-                    lam.append([i + 1, j + 1, format_rational(v)])
+                    lam.append([i + 1, j + 1, format_coeff(v)])
         rows.append({"monomial": format_monomial(m, names), "lambda": lam})
     return {"rows": rows}
 
@@ -334,7 +326,7 @@ def copoisson_payload(I, names):
 def struct_consts_payload(c, names):
     lam = []
     for (i, j, l) in sorted(c.lam):
-        lam.append([i + 1, j + 1, l + 1, format_rational(c.lam[(i, j, l)])])
+        lam.append([i + 1, j + 1, l + 1, format_coeff(c.lam[(i, j, l)])])
     return {"lambda": lam}
 
 
@@ -345,7 +337,7 @@ def qmap_payload(q, names):
         if not t:
             continue
         tensor = [[format_monomial(u, names), format_monomial(v, names),
-                   format_rational(c)]
+                   format_coeff(c)]
                   for (u, v), c in t.items_sorted()]
         rows.append({"monomial": format_monomial(m, names), "tensor": tensor})
     return {"rows": rows}
@@ -360,12 +352,12 @@ def pmap_payload(p, names):
             continue
         rows.append({"pair": [format_monomial(a, names),
                               format_monomial(b, names)],
-                     "value": _poly_str(val, names)})
+                     "value": format_poly(val, names)})
     return {"rows": rows}
 
 
 def finhopf_payload(H):
-    r = format_rational
+    r = format_coeff
     return {
         "dim": H.dim,
         "basis": list(H.basis_names),

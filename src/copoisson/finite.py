@@ -127,15 +127,6 @@ class FinHopf:
                         out[k] += c * self.mult[i][j][k]
         return tuple(out)
 
-    def comult_vec(self, u):
-        out = {}
-        for i in range(self.dim):
-            if not u[i]:
-                continue
-            for (j, k), w in comult_indexed(self, i).items():
-                bump(out, (j, k), u[i] * w)
-        return out
-
     def counit_vec(self, u):
         return sum((u[i] * self.counit[i] for i in range(self.dim)),
                    Fraction(0))
@@ -330,6 +321,23 @@ class LinearFamily:
         return tuple(v)
 
 
+# --- constraint rows ------------------------------------------------------
+#
+# Each solver fills accumulators {output coordinate: {unknown: coeff}} with
+# `bump`; every nonzero cell is one constraint row.  Rows are emitted in
+# the accumulator's insertion order, which fixes the pivot order of rref.
+
+def _emit(rows, acc):
+    """Append the nonzero cells of acc to rows, in insertion order."""
+    rows.extend(cell for cell in acc.values() if cell)
+
+
+def _solve(rows, U):
+    """The family of vectors in k^U that every sparse row annihilates."""
+    dense = [[r.get(u, Fraction(0)) for u in range(U)] for r in rows]
+    return LinearFamily(ambient_dim=U, basis=nullspace(dense, U))
+
+
 # --- Poisson structure solver --------------------------------------------
 
 def _pair_index(H):
@@ -341,77 +349,6 @@ def poisson_unknown_count(H):
     return H.dim * (H.dim * (H.dim - 1) // 2)
 
 
-def _bracket_lin(H, pair_pos, i, j):
-    """{e_i, e_j} as a linear-valued H element: list of sparse rows."""
-    n = H.dim
-    rows = [dict() for _ in range(n)]
-    if i == j:
-        return rows
-    sign = 1
-    if i > j:
-        i, j = j, i
-        sign = -1
-    base = pair_pos[(i, j)] * n
-    for k in range(n):
-        rows[k][base + k] = Fraction(sign)
-    return rows
-
-
-def _lin_add(dst, src, factor=1):
-    factor = Fraction(factor)
-    for k, rows_k in enumerate(src):
-        for u, v in rows_k.items():
-            s = dst[k].get(u, 0) + factor * v
-            if s:
-                dst[k][u] = s
-            else:
-                dst[k].pop(u, None)
-
-
-def _lin_lmul(H, a_vec, lin):
-    """a . w for a constant vector a and linear-valued w."""
-    n = H.dim
-    out = [dict() for _ in range(n)]
-    for i in range(n):
-        if not a_vec[i]:
-            continue
-        for k in range(n):
-            if not lin[k]:
-                continue
-            for m in range(n):
-                coef = a_vec[i] * H.mult[i][k][m]
-                if coef:
-                    for u, v in lin[k].items():
-                        s = out[m].get(u, 0) + coef * v
-                        if s:
-                            out[m][u] = s
-                        else:
-                            out[m].pop(u, None)
-    return out
-
-
-def _lin_rmul(H, lin, b_vec):
-    """w . b for linear-valued w and constant vector b."""
-    n = H.dim
-    out = [dict() for _ in range(n)]
-    for k in range(n):
-        if not lin[k]:
-            continue
-        for j in range(n):
-            if not b_vec[j]:
-                continue
-            for m in range(n):
-                coef = b_vec[j] * H.mult[k][j][m]
-                if coef:
-                    for u, v in lin[k].items():
-                        s = out[m].get(u, 0) + coef * v
-                        if s:
-                            out[m][u] = s
-                        else:
-                            out[m].pop(u, None)
-    return out
-
-
 def solve_poisson_family(H, hopf_compat=False):
     """Solve the linear part of the Poisson (Hopf) structure equations.
 
@@ -421,82 +358,68 @@ def solve_poisson_family(H, hopf_compat=False):
     separately by quadratic_residual_family.
     """
     n = H.dim
-    pairs, pair_pos = _pair_index(H)
-    U = poisson_unknown_count(H)
+    _, pair_pos = _pair_index(H)
     rows = []
 
-    def emit(lin):
-        for comp in lin:
-            if comp:
-                rows.append(comp)
+    def bracket(acc, key, i, j, k, w):
+        """acc[key] += w * (the e_k component of {e_i, e_j})."""
+        if i == j:
+            return
+        if i < j:
+            u = pair_pos[(i, j)] * n + k
+        else:
+            u, w = pair_pos[(j, i)] * n + k, -w
+        bump(acc.setdefault(key, {}), u, w)
 
     # {1, e_j} = 0
     for j in range(n):
-        acc = [dict() for _ in range(n)]
+        acc = {k: {} for k in range(n)}
         for i in range(n):
             if H.unit[i]:
-                _lin_add(acc, _bracket_lin(H, pair_pos, i, j), H.unit[i])
-        emit(acc)
+                for k in range(n):
+                    bracket(acc, k, i, j, k, H.unit[i])
+        _emit(rows, acc)
     # Leibniz {ab, c} = a{b, c} + {a, c}b
     for a in range(n):
         for b in range(n):
             for c in range(n):
-                acc = [dict() for _ in range(n)]
+                acc = {k: {} for k in range(n)}
                 for k in range(n):
                     w = H.mult[a][b][k]
                     if w:
-                        _lin_add(acc, _bracket_lin(H, pair_pos, k, c), w)
-                _lin_add(acc, _lin_lmul(H, H.basis_vec(a),
-                                        _bracket_lin(H, pair_pos, b, c)), -1)
-                _lin_add(acc, _lin_rmul(H, _bracket_lin(H, pair_pos, a, c),
-                                        H.basis_vec(b)), -1)
-                emit(acc)
+                        for m in range(n):
+                            bracket(acc, m, k, c, m, w)
+                for k in range(n):
+                    for m in range(n):
+                        if H.mult[a][k][m]:
+                            bracket(acc, m, b, c, k, -H.mult[a][k][m])
+                        if H.mult[k][b][m]:
+                            bracket(acc, m, a, c, k, -H.mult[k][b][m])
+                _emit(rows, acc)
     if hopf_compat:
         for a in range(n):
             for b in range(n):
-                acc = {}  # (m1, m2) -> sparse row
-
-                def t2_add(key, row, factor):
-                    cell = acc.setdefault(key, {})
-                    for u, v in row.items():
-                        s = cell.get(u, 0) + factor * v
-                        if s:
-                            cell[u] = s
-                        else:
-                            cell.pop(u, None)
-
+                acc = {}
                 # Delta({a,b})
-                br = _bracket_lin(H, pair_pos, a, b)
                 for k in range(n):
-                    if br[k]:
-                        for (m1, m2), w in comult_indexed(H, k).items():
-                            t2_add((m1, m2), br[k], w)
+                    for (m1, m2), w in comult_indexed(H, k).items():
+                        bracket(acc, (m1, m2), a, b, k, w)
                 # -sum {a1,b1}(x)a2b2 - a1b1(x){a2,b2}
                 for (a1, a2), wa in comult_indexed(H, a).items():
                     for (b1, b2), wb in comult_indexed(H, b).items():
                         w = wa * wb
-                        prod2 = H.mul_vec(H.basis_vec(a2), H.basis_vec(b2))
-                        br1 = _bracket_lin(H, pair_pos, a1, b1)
                         for m1 in range(n):
-                            if br1[m1]:
-                                for m2 in range(n):
-                                    if prod2[m2]:
-                                        t2_add((m1, m2), br1[m1],
-                                               -w * prod2[m2])
-                        prod1 = H.mul_vec(H.basis_vec(a1), H.basis_vec(b1))
-                        br2 = _bracket_lin(H, pair_pos, a2, b2)
+                            for m2 in range(n):
+                                if H.mult[a2][b2][m2]:
+                                    bracket(acc, (m1, m2), a1, b1, m1,
+                                            -w * H.mult[a2][b2][m2])
                         for m2 in range(n):
-                            if br2[m2]:
-                                for m1 in range(n):
-                                    if prod1[m1]:
-                                        t2_add((m1, m2), br2[m2],
-                                               -w * prod1[m1])
-                for cell in acc.values():
-                    if cell:
-                        rows.append(cell)
-
-    dense = [[r.get(u, Fraction(0)) for u in range(U)] for r in rows]
-    return LinearFamily(ambient_dim=U, basis=nullspace(dense, U))
+                            for m1 in range(n):
+                                if H.mult[a1][b1][m1]:
+                                    bracket(acc, (m1, m2), a2, b2, m2,
+                                            -w * H.mult[a1][b1][m1])
+                _emit(rows, acc)
+    return _solve(rows, poisson_unknown_count(H))
 
 
 def brackets_from_vector(H, vec):
@@ -570,40 +493,28 @@ def solve_copoisson_family(H, hopf_compat=False):
     handled separately.
     """
     n = H.dim
-    U = copoisson_unknown_count(H)
     rows = []
 
-    def add_cell(cell, u, v):
-        s = cell.get(u, 0) + v
-        if s:
-            cell[u] = s
-        else:
-            cell.pop(u, None)
+    def add(acc, key, u, w):
+        bump(acc.setdefault(key, {}), u, w)
 
     # skew: q(e_i)_{jk} + q(e_i)_{kj} = 0
+    acc = {}
     for i in range(n):
         for j in range(n):
             for k in range(j, n):
-                cell = {}
-                add_cell(cell, _q_u(H, i, j, k), Fraction(1))
-                add_cell(cell, _q_u(H, i, k, j), Fraction(1))
-                if cell:
-                    rows.append(cell)
+                add(acc, (i, j, k), _q_u(H, i, j, k), Fraction(1))
+                add(acc, (i, j, k), _q_u(H, i, k, j), Fraction(1))
+    _emit(rows, acc)
     # counit contractions vanish
+    acc = {}
     for i in range(n):
         for m in range(n):
-            cell = {}
             for j in range(n):
                 if H.counit[j]:
-                    add_cell(cell, _q_u(H, i, j, m), H.counit[j])
-            if cell:
-                rows.append(cell)
-            cell = {}
-            for j in range(n):
-                if H.counit[j]:
-                    add_cell(cell, _q_u(H, i, m, j), H.counit[j])
-            if cell:
-                rows.append(cell)
+                    add(acc, (i, m, 0), _q_u(H, i, j, m), H.counit[j])
+                    add(acc, (i, m, 1), _q_u(H, i, m, j), H.counit[j])
+    _emit(rows, acc)
     # co-Leibniz: (Delta(x)1)q(c) - (1(x)q)Delta(c) + t3^2 (q(x)1)Delta(c) = 0
     for c in range(n):
         acc = {}  # (m1, m2, m3) -> sparse row
@@ -611,23 +522,18 @@ def solve_copoisson_family(H, hopf_compat=False):
             for k in range(n):
                 u = _q_u(H, c, j, k)
                 for (m1, m2), w in comult_indexed(H, j).items():
-                    cell = acc.setdefault((m1, m2, k), {})
-                    add_cell(cell, u, w)
+                    add(acc, (m1, m2, k), u, w)
         for (a, b), w in comult_indexed(H, c).items():
             for m2 in range(n):
                 for m3 in range(n):
-                    cell = acc.setdefault((a, m2, m3), {})
-                    add_cell(cell, _q_u(H, b, m2, m3), -w)
+                    add(acc, (a, m2, m3), _q_u(H, b, m2, m3), -w)
             # t3^2 X at (m1,m2,m3) = X at (m3,m1,m2); X = (q(x)1)Delta(c)
             # has X(p1, p2, b) = sum_a Delta(c)_{a,b} q(a)_{p1,p2}
             for p1 in range(n):
                 for p2 in range(n):
                     # X(p1, p2, b) -> t3^2 position (p2, b, p1)
-                    cell = acc.setdefault((p2, b, p1), {})
-                    add_cell(cell, _q_u(H, a, p1, p2), w)
-        for cell in acc.values():
-            if cell:
-                rows.append(cell)
+                    add(acc, (p2, b, p1), _q_u(H, a, p1, p2), w)
+        _emit(rows, acc)
     if hopf_compat:
         # q(ab) = q(a)Delta(b) + Delta(a)q(b)
         for a in range(n):
@@ -638,8 +544,7 @@ def solve_copoisson_family(H, hopf_compat=False):
                     if w:
                         for j in range(n):
                             for l in range(n):
-                                cell = acc.setdefault((j, l), {})
-                                add_cell(cell, _q_u(H, k, j, l), w)
+                                add(acc, (j, l), _q_u(H, k, j, l), w)
                 for (b1, b2), wb in comult_indexed(H, b).items():
                     for j in range(n):
                         for l in range(n):
@@ -650,9 +555,8 @@ def solve_copoisson_family(H, hopf_compat=False):
                                 for m2 in range(n):
                                     c2 = H.mult[l][b2][m2]
                                     if c2:
-                                        cell = acc.setdefault((m1, m2), {})
-                                        add_cell(cell, _q_u(H, a, j, l),
-                                                 -wb * c1 * c2)
+                                        add(acc, (m1, m2), _q_u(H, a, j, l),
+                                            -wb * c1 * c2)
                 for (a1, a2), wa in comult_indexed(H, a).items():
                     for j in range(n):
                         for l in range(n):
@@ -663,15 +567,10 @@ def solve_copoisson_family(H, hopf_compat=False):
                                 for m2 in range(n):
                                     c2 = H.mult[a2][l][m2]
                                     if c2:
-                                        cell = acc.setdefault((m1, m2), {})
-                                        add_cell(cell, _q_u(H, b, j, l),
-                                                 -wa * c1 * c2)
-                for cell in acc.values():
-                    if cell:
-                        rows.append(cell)
-
-    dense = [[r.get(u, Fraction(0)) for u in range(U)] for r in rows]
-    return LinearFamily(ambient_dim=U, basis=nullspace(dense, U))
+                                        add(acc, (m1, m2), _q_u(H, b, j, l),
+                                            -wa * c1 * c2)
+                _emit(rows, acc)
+    return _solve(rows, copoisson_unknown_count(H))
 
 
 def qvals_from_vector(H, vec):

@@ -8,6 +8,8 @@ Accepted grammar (no implicit multiplication):
     atom    := rational | integer | variable | "(" expr ")" | ("+"|"-") atom
 
 Rational literals like 3/4 are single tokens, not a division operator.
+Parentheses and unary signs nest at most MAX_NESTING deep, counted
+together, so that hostile input ends in a ParseError, not a RecursionError.
 """
 
 from __future__ import annotations
@@ -16,6 +18,9 @@ import re
 from fractions import Fraction
 
 from .algebra import Monomial, Poly
+
+
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -65,6 +70,7 @@ class _Parser:
     def __init__(self, src, variables):
         self.tokens = _tokenize(src)
         self.pos = 0
+        self.depth = 0
         self.variables = list(variables)
         self.index = {name: i for i, name in enumerate(self.variables)}
         self.d = len(self.variables)
@@ -128,15 +134,21 @@ class _Parser:
             if value not in self.index:
                 raise ParseError(f"unknown identifier {value!r}", col)
             return Poly.from_monomial(Monomial.variable(self.d, self.index[value]))
-        if kind == "(":
-            p = self.expr()
-            self.expect(")")
+        if kind in ("(", "-", "+"):
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(
+                    f"expression nested deeper than {MAX_NESTING}", col)
+            if kind == "(":
+                p = self.expr()
+                self.expect(")")
+            elif kind == "-":
+                # unary minus binds looser than ^: -x1^2 means -(x1^2)
+                p = -self.factor()
+            else:
+                p = self.factor()
+            self.depth -= 1
             return p
-        if kind == "-":
-            # unary minus binds looser than ^: -x1^2 means -(x1^2)
-            return -self.factor()
-        if kind == "+":
-            return self.factor()
         if kind == "end":
             raise ParseError("unexpected end of input", col)
         raise ParseError(f"unexpected token {value!r}", col)

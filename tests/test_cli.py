@@ -116,6 +116,32 @@ def test_parse_error_exit_code(tmp_path):
     assert run(["check", str(q)])[0] == 3
 
 
+def run_stderr(args, capsys):
+    code, text = run(args)
+    return code, text, capsys.readouterr().err
+
+
+def test_unreadable_spec_exits_3(tmp_path, capsys):
+    bom = tmp_path / "utf16.json"
+    bom.write_bytes(b"\xff\xfe{\x00}\x00")
+    for path in (tmp_path, bom):
+        code, text, err = run_stderr(["check", str(path)], capsys)
+        assert (code, text) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err
+
+
+def test_deeply_nested_expression_exits_3(tmp_path, capsys):
+    p = tmp_path / "deep.json"
+    p.write_text(dump_json({
+        "kind": "poisson", "variables": ["x1", "x2"], "max_degree": 2,
+        "payload": {"brackets": {"1,2": "(" * 5000 + "x1" + ")" * 5000},
+                    "mode": "polynomial"}}))
+    code, text, err = run_stderr(["check", str(p)], capsys)
+    assert (code, text) == (3, "")
+    assert "nested deeper" in err and err.count("\n") == 1
+
+
 def test_bound_error_exit_code():
     # explicit degree beyond what the cobracket table can support
     assert run(["check", COP_D2, "--checks", "cojacobi",

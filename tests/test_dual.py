@@ -1,15 +1,13 @@
 from fractions import Fraction
 
-import pytest
-
-from copoisson.algebra import DegreeBoundError, Monomial, Poly, monomials, splittings
-from copoisson.dual import (
-    SeriesElement,
-    dual_bracket,
-    dual_mul,
-    pairing,
-    verify_main5_roundtrip,
+from copoisson.algebra import (
+    Monomial,
+    Poly,
+    factorial,
+    monomials,
+    splittings,
 )
+from copoisson.dual import dual_bracket, pairing, verify_main5_roundtrip
 from copoisson.structures import (
     BracketTable,
     copoisson_from_series,
@@ -25,22 +23,24 @@ def mono(*exps):
     return Monomial(exps)
 
 
+def variable(d, i):
+    return Poly.from_monomial(Monomial.variable(d, i))
+
+
 def test_pairing_orthogonality():
-    one = SeriesElement.from_poly(Poly.constant(2, 1), 3)
+    one = Poly.constant(2, 1)
     assert pairing(one, Poly.constant(2, 1)) == 1
-    X1 = SeriesElement.variable(2, 0, 3)
+    X1 = variable(2, 0)
     assert pairing(X1, Poly.from_monomial(mono(0, 1))) == 0
-    X1sq = SeriesElement({mono(2, 0): Fraction(1)}, 3)
+    X1sq = Poly.from_monomial(mono(2, 0))
     assert pairing(X1sq, Poly.from_monomial(mono(2, 0))) == 2  # 2! weight
 
 
 def test_gram_matrix_diagonal():
-    from copoisson.algebra import factorial
     N = 3
     for a in monomials(2, N):
         for b in monomials(2, N):
-            f = SeriesElement({b: Fraction(1)}, N)
-            val = pairing(f, Poly.from_monomial(a))
+            val = pairing(Poly.from_monomial(b), Poly.from_monomial(a))
             assert val == (factorial(a) if a == b else 0)
 
 
@@ -48,9 +48,9 @@ def test_dual_mul_is_convolution(rng):
     # <f*g, a> = sum <f, a1> <g, a2>
     N = 3
     for _ in range(5):
-        f = SeriesElement.from_poly(random_poly(rng, 2, N), N)
-        g = SeriesElement.from_poly(random_poly(rng, 2, N), N)
-        prod = dual_mul(f, g)
+        f = random_poly(rng, 2, N)
+        g = random_poly(rng, 2, N)
+        prod = (f * g).truncate(N)
         for a in monomials(2, N):
             conv = Fraction(0)
             for c, (a1, a2) in splittings(a, 2):
@@ -61,19 +61,14 @@ def test_dual_mul_is_convolution(rng):
 
 def test_dual_mul_examples():
     N = 4
-    X1 = SeriesElement.variable(2, 0, N)
-    X2 = SeriesElement.variable(2, 1, N)
-    assert dual_mul(X1, X1) == SeriesElement({mono(2, 0): Fraction(1)}, N)
-    assert dual_mul(X1, X2) == SeriesElement({mono(1, 1): Fraction(1)}, N)
-    one = SeriesElement.from_poly(Poly.constant(2, 1), N)
-    assert dual_mul(one, X1) == X1
-
-
-def test_truncation_mismatch_rejected():
-    f = SeriesElement.variable(2, 0, 3)
-    g = SeriesElement.variable(2, 1, 4)
-    with pytest.raises(DegreeBoundError):
-        dual_mul(f, g)
+    X1 = variable(2, 0)
+    X2 = variable(2, 1)
+    assert (X1 * X1).truncate(N) == Poly.from_monomial(mono(2, 0))
+    assert (X1 * X2).truncate(N) == Poly.from_monomial(mono(1, 1))
+    assert (Poly.constant(2, 1) * X1).truncate(N) == X1
+    # a product beyond degree N is zero in the truncated dual
+    cube = Poly.from_monomial(mono(2, 1))
+    assert (cube * cube).truncate(N).is_zero()
 
 
 def test_dual_bracket_skew_and_recovery():
@@ -81,26 +76,45 @@ def test_dual_bracket_skew_and_recovery():
     B = BracketTable(d=3, f=dict(linear_poisson(so3_consts()).f),
                      truncation_degree=N)
     q = make_copoisson(copoisson_from_series(B))
-    X = [SeriesElement.variable(3, i, N) for i in range(3)]
+    X = [variable(3, i) for i in range(3)]
     for i in range(3):
-        assert dual_bracket(q, X[i], X[i]).is_zero()
+        assert dual_bracket(q, X[i], X[i], N).is_zero()
         for j in range(i + 1, 3):
-            got = dual_bracket(q, X[i], X[j])
-            assert got == SeriesElement.from_poly(B.entry(i, j), N)
-            assert dual_bracket(q, X[j], X[i]) == -got
+            got = dual_bracket(q, X[i], X[j], N)
+            assert got == B.entry(i, j)
+            assert dual_bracket(q, X[j], X[i], N) == -got
+
+
+def test_dual_bracket_ignores_terms_beyond_n(rng):
+    N = 3
+    # the constant term of f_12 gives I(1) != 0, so q(c) with |c| = N has
+    # left and right factors of degree N + 1
+    B = BracketTable(d=2, f={(0, 1): Poly.constant(2, 1)
+                             + random_poly(rng, 2, N)}, truncation_degree=N)
+    q = make_copoisson(copoisson_from_series(B))
+    high = Poly({m: Fraction(1) for m in monomials(2, N + 2) if m.degree > N})
+    for _ in range(5):
+        f = random_poly(rng, 2, N) + variable(2, 0)
+        g = random_poly(rng, 2, N) + variable(2, 1)
+        assert dual_bracket(q, f + high, g, N) == dual_bracket(q, f, g, N)
+        assert dual_bracket(q, f, g + high, N) == dual_bracket(q, f, g, N)
 
 
 def test_dual_bracket_leibniz(rng):
     N = 3
     B = nambu_bracket(rng, truncation=N)
     q = make_copoisson(copoisson_from_series(B))
+
+    def mul(f, g):
+        return (f * g).truncate(N)
+
     for _ in range(5):
-        f = SeriesElement.from_poly(random_poly(rng, 3, N), N)
-        g = SeriesElement.from_poly(random_poly(rng, 3, N), N)
-        h = SeriesElement.from_poly(random_poly(rng, 3, N), N)
-        lhs = dual_bracket(q, dual_mul(f, g), h)
-        rhs = dual_mul(f, dual_bracket(q, g, h)) + dual_mul(
-            dual_bracket(q, f, h), g)
+        f = random_poly(rng, 3, N)
+        g = random_poly(rng, 3, N)
+        h = random_poly(rng, 3, N)
+        lhs = dual_bracket(q, mul(f, g), h, N)
+        rhs = mul(f, dual_bracket(q, g, h, N)) + mul(
+            dual_bracket(q, f, h, N), g)
         assert lhs == rhs
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from copoisson.algebra import Monomial, Poly
-from copoisson.parser import ParseError, parse_poly
+from copoisson.parser import MAX_NESTING, ParseError, parse_poly
 
 
 VARS2 = ["x1", "x2"]
@@ -90,3 +90,15 @@ def test_roundtrip_with_formatter(rng):
         p = random_poly(rng, 3, 4)
         text = format_poly(p)
         assert parse_poly(text, VARS3) == p
+
+
+def test_nesting_limit():
+    # parentheses and unary signs count together
+    half = MAX_NESTING // 2
+    at_limit = "(" * half + "-" * (MAX_NESTING - half) + "x1" + ")" * half
+    assert parse_poly(at_limit, VARS2) == Poly.from_monomial(
+        Monomial((1, 0)), (-1) ** (MAX_NESTING - half))
+    over = "(" * half + "-" * (MAX_NESTING - half + 1) + "x1" + ")" * half
+    with pytest.raises(ParseError, match="nested deeper") as exc:
+        parse_poly(over, VARS2)
+    assert exc.value.column == MAX_NESTING + 1
