@@ -28,10 +28,6 @@ class DimensionMismatchError(ValueError):
 class DegreeBoundError(ValueError):
     """A value beyond a table's domain degree bound was requested."""
 
-    def __init__(self, message, required=None):
-        super().__init__(message)
-        self.required = required
-
 
 class Monomial(tuple):
     """A monomial x1^n1 ... xd^nd, stored as the exponent tuple (n1..nd)."""
@@ -210,9 +206,6 @@ class _Sparse:
     def __eq__(self, other):
         return type(self) is type(other) and self.terms == other.terms
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     __hash__ = None
 
     def __add__(self, other):
@@ -257,10 +250,6 @@ class Poly(_Sparse):
     """Element of A = k[x1..xd]: finite map Monomial -> Fraction."""
 
     __slots__ = ()
-
-    @classmethod
-    def zero(cls):
-        return cls()
 
     @classmethod
     def from_monomial(cls, m, coeff=1):
@@ -320,9 +309,6 @@ class Tensor2(_Sparse):
 
     def _sort_key(self, key):
         return (grlex_key(key[0]), grlex_key(key[1]))
-
-    def swap(self):
-        return t2_swap(self)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):

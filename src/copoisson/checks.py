@@ -106,8 +106,7 @@ class _Collector:
 def _require_bound(value, bound, what):
     if value > bound:
         raise DegreeBoundError(
-            f"{what} requires table bound >= {value}, have {bound}",
-            required=value)
+            f"{what} requires table bound >= {value}, have {bound}")
 
 
 def check_skew(q, N):

@@ -51,7 +51,7 @@ def dual_bracket(q, f, g, N):
     if q.domain_degree_bound < N:
         raise DegreeBoundError(
             f"dual_bracket needs q up to degree {N}, table bound is "
-            f"{q.domain_degree_bound}", required=N)
+            f"{q.domain_degree_bound}")
     f = f.truncate(N)
     g = g.truncate(N)
     out = {}

@@ -64,12 +64,7 @@ class StructureSpec:
     kind: str
     variables: list
     max_degree: int
-    payload: dict
-    structure: object = None
-
-    @property
-    def d(self):
-        return len(self.variables)
+    structure: object
 
 
 def _require(cond, msg):
@@ -277,8 +272,7 @@ def spec_from_dict(doc):
         structure = _decode_finhopf(payload)
         variables = []
     return StructureSpec(kind=kind, variables=list(variables),
-                         max_degree=max_degree, payload=payload,
-                         structure=structure)
+                         max_degree=max_degree, structure=structure)
 
 
 def load_spec(path):

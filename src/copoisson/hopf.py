@@ -85,7 +85,7 @@ class QMap:
         if m.degree > self.domain_degree_bound:
             raise DegreeBoundError(
                 f"q requested at degree {m.degree}, table bound is "
-                f"{self.domain_degree_bound}", required=m.degree)
+                f"{self.domain_degree_bound}")
         return self.assignments.get(m, Tensor2())
 
     def apply_poly(self, f):
@@ -107,90 +107,66 @@ class PMap:
         if a.degree > self.domain_degree_bound or b.degree > self.domain_degree_bound:
             raise DegreeBoundError(
                 f"p requested at degrees ({a.degree},{b.degree}), table bound "
-                f"is {self.domain_degree_bound}",
-                required=max(a.degree, b.degree))
+                f"is {self.domain_degree_bound}")
         return self.assignments.get((a, b), Poly())
+
+
+def _q_i_sum(table, a, signed):
+    """table(a_1) Delta(a_2), times (-1)^|a_2| when `signed`.  The first
+    splitting is (a, 1): the table's bound check runs before any work."""
+    out = {}
+    for coeff, (b, c) in splittings(a, 2):
+        v = table(b)
+        if v:
+            sign = -1 if signed and c.degree % 2 else 1
+            axpy(out, tensor2_mul(v, comult(c)).terms, sign * coeff)
+    return Tensor2._trusted(out)
 
 
 def q_from_i(I, a):
     """q(a) = I(a_1) Delta(a_2): binomial-weighted componentwise products."""
-    if a.degree > I.domain_degree_bound:
-        raise DegreeBoundError(
-            f"I needed up to degree {a.degree}, table bound is "
-            f"{I.domain_degree_bound}", required=a.degree)
-    out = {}
-    for coeff, (b, c) in splittings(a, 2):
-        iv = I(b)
-        if iv:
-            axpy(out, tensor2_mul(iv, comult(c)).terms, coeff)
-    return Tensor2._trusted(out)
+    return _q_i_sum(I, a, False)
 
 
 def i_from_q(q, a):
     """I(a) = (-1)^|a_2| q(a_1) Delta(a_2): the inverse signed sum."""
-    if a.degree > q.domain_degree_bound:
-        raise DegreeBoundError(
-            f"q needed up to degree {a.degree}, table bound is "
-            f"{q.domain_degree_bound}", required=a.degree)
+    return _q_i_sum(q, a, True)
+
+
+def _p_j_sum(table, a, b, signed):
+    """table(a_1 (x) b_1) a_2 b_2, times (-1)^(|a_2|+|b_2|) when `signed`.
+    The first splittings are (a, 1), (b, 1), as for _q_i_sum."""
     out = {}
-    for coeff, (b, c) in splittings(a, 2):
-        qv = q(b)
-        if qv:
-            sign = -1 if c.degree % 2 else 1
-            axpy(out, tensor2_mul(qv, comult(c)).terms, sign * coeff)
-    return Tensor2._trusted(out)
+    for ca, (a1, a2) in splittings(a, 2):
+        for cb, (b1, b2) in splittings(b, 2):
+            v = table(a1, b1)
+            if v:
+                sign = -1 if signed and (a2.degree + b2.degree) % 2 else 1
+                axpy(out, (v * Poly.from_monomial(a2 * b2)).terms,
+                     sign * ca * cb)
+    return Poly._trusted(out)
 
 
 def p_from_j(J, a, b):
     """p(a (x) b) = J(a_1 (x) b_1) a_2 b_2."""
-    if a.degree > J.domain_degree_bound or b.degree > J.domain_degree_bound:
-        raise DegreeBoundError(
-            f"J needed at degrees ({a.degree},{b.degree}), table bound is "
-            f"{J.domain_degree_bound}", required=max(a.degree, b.degree))
-    out = {}
-    for ca, (a1, a2) in splittings(a, 2):
-        for cb, (b1, b2) in splittings(b, 2):
-            jv = J(a1, b1)
-            if jv:
-                axpy(out, (jv * Poly.from_monomial(a2 * b2)).terms, ca * cb)
-    return Poly._trusted(out)
+    return _p_j_sum(J, a, b, False)
 
 
 def j_from_p(p, a, b):
     """J(a (x) b) = (-1)^(|a_2|+|b_2|) p(a_1 (x) b_1) a_2 b_2."""
-    if a.degree > p.domain_degree_bound or b.degree > p.domain_degree_bound:
-        raise DegreeBoundError(
-            f"p needed at degrees ({a.degree},{b.degree}), table bound is "
-            f"{p.domain_degree_bound}", required=max(a.degree, b.degree))
-    out = {}
-    for ca, (a1, a2) in splittings(a, 2):
-        for cb, (b1, b2) in splittings(b, 2):
-            pv = p(a1, b1)
-            if pv:
-                sign = -1 if (a2.degree + b2.degree) % 2 else 1
-                axpy(out, (pv * Poly.from_monomial(a2 * b2)).terms,
-                     sign * ca * cb)
-    return Poly._trusted(out)
+    return _p_j_sum(p, a, b, True)
 
 
 # Tensor3-valued helpers used by the axiom checks.
 
 def delta_left(t):
-    """(Delta (x) 1) applied to a Tensor2."""
-    out = {}
-    for (u, v), c in t.terms.items():
-        for coeff, (u1, u2) in splittings(u, 2):
-            bump(out, (u1, u2, v), c * coeff)
-    return Tensor3._trusted(out)
+    """(Delta (x) 1) applied to a Tensor2: q_left with q = Delta."""
+    return q_left(t, comult)
 
 
 def delta_right(t):
-    """(1 (x) Delta) applied to a Tensor2."""
-    out = {}
-    for (u, v), c in t.terms.items():
-        for coeff, (v1, v2) in splittings(v, 2):
-            bump(out, (u, v1, v2), c * coeff)
-    return Tensor3._trusted(out)
+    """(1 (x) Delta) applied to a Tensor2: q_right with q = Delta."""
+    return q_right(t, comult)
 
 
 def q_left(t, q):

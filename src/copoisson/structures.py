@@ -24,7 +24,7 @@ from .algebra import (
     monomials,
     splittings,
 )
-from .hopf import QMap, q_from_i
+from .hopf import PMap, QMap, q_from_i
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ class ITable:
         if m.degree > self.domain_degree_bound:
             raise DegreeBoundError(
                 f"I requested at degree {m.degree}, table bound is "
-                f"{self.domain_degree_bound}", required=m.degree)
+                f"{self.domain_degree_bound}")
         return self.matrix(m).to_tensor2()
 
     def support_degrees(self):
@@ -176,6 +176,17 @@ def poisson_bracket(B, f, g):
 
 def bracket_monomials(B, a, b):
     return poisson_bracket(B, Poly.from_monomial(a), Poly.from_monomial(b))
+
+
+def pmap_from_bracket(B, N):
+    """p(a (x) b) = {a, b} on all monomial pairs of degree <= N."""
+    assignments = {}
+    for a in monomials(B.d, N):
+        for b in monomials(B.d, N):
+            val = bracket_monomials(B, a, b)
+            if val:
+                assignments[(a, b)] = val
+    return PMap(d=B.d, domain_degree_bound=N, assignments=assignments)
 
 
 def make_copoisson(I):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -155,6 +156,39 @@ def test_negative_max_degree_is_a_usage_error():
     assert "PASS" not in text
 
 
+UNAFFORDABLE = [
+    # cojacobi-coeffs needs table bound N + 1 even at N = 0
+    ({"kind": "copoisson", "variables": ["x1", "x2"], "max_degree": 0,
+      "payload": {"rows": []}},
+     "cojacobi-coeffs", "requires table bound >= 1, have 0"),
+    # (q (x) 1) q(1) needs q on the degree-1 left factors of q(1)
+    ({"kind": "qmap", "variables": ["x1", "x2"], "max_degree": 0,
+      "payload": {"rows": [{"monomial": "1", "tensor": [
+          ["x1", "x2", "1"], ["x2", "x1", "-1"]]}]}},
+     "cojacobi", "requires table bound >= 1, have 0"),
+]
+
+
+@pytest.mark.parametrize("doc, name, need", UNAFFORDABLE,
+                         ids=["copoisson", "qmap"])
+def test_default_degree_skips_an_unaffordable_check(tmp_path, doc, name,
+                                                     need):
+    p = tmp_path / "spec.json"
+    p.write_text(dump_json(doc))
+    code, text = run(["check", str(p), "--format", "json"])
+    checks = {c["check"]: c for c in json.loads(text)["checks"]}
+    assert checks[name]["skipped"] is True and need in checks[name]["note"]
+    others = [c for n, c in checks.items() if n != name]
+    assert others and not any(c.get("skipped") for c in others)
+    assert code == (0 if all(c["passed"] for c in others) else 1)
+    code2, text2 = run(["check", str(p), "--format", "text"])
+    assert code2 == code
+    assert f"{name}: SKIP (degree 0)\n  note: " in text2 and need in text2
+    # an explicitly requested degree the table cannot support stays exit 2
+    assert run(["check", str(p), "--checks", name,
+                "--max-degree", "0"]) == (2, "")
+
+
 @pytest.mark.parametrize("doc", [
     {"kind": "copoisson", "variables": ["x1", "x2"], "max_degree": True,
      "payload": {"rows": []}},
@@ -268,6 +302,76 @@ def test_transform_p_j_roundtrip(tmp_path):
     with open(COUNTEREX) as fh:
         orig = json.load(fh)
     assert jdoc["payload"]["brackets"] == orig["payload"]["brackets"]
+    assert hashlib.sha256(text2.encode("utf-8")).hexdigest() == (
+        "43fcce21a15fdc1f1c6cc3de8f901309755411647ffb60b9c7621cfb6be08be9")
+
+
+def pmap_of(tmp_path, brackets, max_degree, edit=None):
+    """Write the `--to p` output of a three-variable bracket, edited."""
+    src = tmp_path / "bracket.json"
+    src.write_text(dump_json({
+        "kind": "poisson", "variables": ["x1", "x2", "x3"],
+        "max_degree": max_degree,
+        "payload": {"brackets": brackets, "mode": "polynomial"}}))
+    code, text = run(["transform", str(src), "--to", "p"])
+    assert code == 0
+    doc = json.loads(text)["transforms"][0]["output"]
+    if edit:
+        edit(doc["payload"]["rows"])
+    path = tmp_path / "p.json"
+    path.write_text(dump_json(doc))
+    return str(path)
+
+
+def drop(pair):
+    def edit(rows):
+        rows[:] = [r for r in rows if r["pair"] != pair]
+    return edit
+
+
+@pytest.mark.parametrize("edit, max_degree, pair", [
+    (drop(["x1^2", "x2^2"]), 2, "p(x1^2, x2^2)"),
+    # {(x1, x2): 1} alone: not skew
+    (drop(["x2", "x1"]), 1, "p(x2, x1)"),
+    (drop(["x2", "x1"]), 2, "p(x2, x1)"),
+    (lambda rows: rows.append({"pair": ["x1", "x1"], "value": "x2"}),
+     1, "p(x1, x1)"),
+])
+def test_pmap_of_no_bracket_is_rejected(tmp_path, capsys, edit, max_degree,
+                                        pair):
+    path = pmap_of(tmp_path, {"1,2": "1"}, max_degree, edit)
+    code, text, err = run_stderr(["transform", path, "--to", "j"], capsys)
+    assert (code, text) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert pair in err
+
+
+def test_pmap_to_j_reads_only_generator_pairs(tmp_path, monkeypatch):
+    import copoisson.cli
+
+    calls = []
+    j_from_p = copoisson.cli.j_from_p
+
+    def counted(p, a, b):
+        calls.append((a, b))
+        return j_from_p(p, a, b)
+
+    monkeypatch.setattr(copoisson.cli, "j_from_p", counted)
+    path = pmap_of(tmp_path, {"1,2": "x3", "2,3": "x1", "1,3": "-x2"}, 2)
+    assert run(["transform", path, "--to", "j"])[0] == 0
+    assert len(calls) <= 3  # C(3, 2)
+
+
+def test_qmap_of_no_itable_is_rejected(tmp_path, capsys):
+    p = tmp_path / "q.json"
+    p.write_text(dump_json({
+        "kind": "qmap", "variables": ["x1", "x2"], "max_degree": 1,
+        "payload": {"rows": [{"monomial": "x1",
+                              "tensor": [["x1", "x2", "1"]]}]}}))
+    code, text, err = run_stderr(["transform", str(p), "--to", "i"], capsys)
+    assert (code, text) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "I(x1)" in err
 
 
 def test_transform_inapplicable():
