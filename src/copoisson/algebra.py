@@ -16,9 +16,10 @@ nonzero Fractions.  Sums are accumulated in place on plain dicts with
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 from math import comb, factorial as int_factorial
+from operator import add, sub
 
 
 class DimensionMismatchError(ValueError):
@@ -59,7 +60,7 @@ class Monomial(tuple):
         if len(self) != len(other):
             raise DimensionMismatchError(
                 f"monomials over {len(self)} and {len(other)} variables")
-        return Monomial(a + b for a, b in zip(self, other))
+        return _trusted_monomial(map(add, self, other))
 
     def divides(self, other):
         return len(self) == len(other) and all(
@@ -69,7 +70,13 @@ class Monomial(tuple):
         """self / other, assuming other divides self."""
         if not other.divides(self):
             raise ValueError(f"{other!r} does not divide {self!r}")
-        return Monomial(a - b for a, b in zip(self, other))
+        return _trusted_monomial(map(sub, self, other))
+
+
+# A Monomial from exponents known to be non-negative (a product, a quotient
+# by a divisor, or a derivative of a term whose exponent is positive), built
+# without the negative-exponent scan.
+_trusted_monomial = partial(tuple.__new__, Monomial)
 
 
 def grlex_key(m):
@@ -288,7 +295,7 @@ class Poly(_Sparse):
         for m, c in self.terms.items():
             e = m[i]
             if e:
-                dm = Monomial(v - 1 if j == i else v for j, v in enumerate(m))
+                dm = _trusted_monomial(m[:i] + (e - 1,) + m[i + 1:])
                 out[dm] = c * e
         return Poly._trusted(out)
 

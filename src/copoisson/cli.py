@@ -211,7 +211,7 @@ def cmd_check(args, out):
 
 # --- transform command ----------------------------------------------------
 
-def _qmap_to_itable(q):
+def _qmap_to_itable(q, names):
     rows = {}
     for m in monomials(q.d, q.domain_degree_bound):
         val = i_from_q(q, m)
@@ -220,7 +220,7 @@ def _qmap_to_itable(q):
         if not in_skew_generator_space(val):
             raise UsageError(
                 "cobracket is not induced by an I-table: the recovered "
-                f"I({format_monomial(m)}) is not a skew combination of "
+                f"I({format_monomial(m, names)}) is not a skew combination of "
                 "generator pairs")
         upper = {}
         for (u, v), c in val.terms.items():
@@ -275,7 +275,7 @@ def cmd_transform(args, out):
         result = StructureSpec("qmap", spec.variables,
                                s.domain_degree_bound, q)
     elif kind == "qmap" and to == "i":
-        I = _qmap_to_itable(s)
+        I = _qmap_to_itable(s, spec.variables)
         result = StructureSpec("copoisson", spec.variables,
                                s.domain_degree_bound, I)
     elif kind == "poisson" and to == "copoisson":

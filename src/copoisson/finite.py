@@ -19,32 +19,42 @@ from .algebra import bump
 # --- exact rational linear algebra ---------------------------------------
 
 def rref(rows, ncols):
-    """Reduced row echelon form with deterministic first-nonzero pivoting.
+    """Reduced row echelon form of sparse rows {column: coeff}.
 
-    Returns (reduced nonzero rows, pivot column list)."""
-    m = [[Fraction(v) for v in r] for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        piv = m[r][c]
-        m[r] = [v / piv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
+    Rows are eliminated one at a time against the pivot rows found so far,
+    which are kept fully reduced: 1 at their own pivot column and 0 at every
+    other pivot column.  What is left of a row makes its smallest column a
+    new pivot, which is then cleared from the earlier pivot rows.  No zero
+    entry is ever stored, and the input rows are not modified.  The reduced
+    row echelon form is unique, so the result does not depend on the order
+    of the rows.
+
+    Returns (reduced rows as sparse dicts in pivot-column order, pivot
+    column list)."""
+    reduced = {}  # pivot column -> its fully reduced row
+    for row in rows:
+        if len(reduced) == ncols:
             break
-    return m[:r], pivots
+        r = {c: v for c, v in row.items() if v}
+        for p in [c for c in r if c in reduced]:
+            f = r.pop(p)
+            for c, v in reduced[p].items():
+                if c != p:
+                    bump(r, c, -f * v)
+        if not r:
+            continue
+        p = min(r)
+        inv = 1 / Fraction(r.pop(p))
+        r = {c: v * inv for c, v in r.items()}
+        for prow in reduced.values():
+            f = prow.pop(p, 0)
+            if f:
+                for c, v in r.items():
+                    bump(prow, c, -f * v)
+        r[p] = Fraction(1)
+        reduced[p] = r
+    pivots = sorted(reduced)
+    return [reduced[p] for p in pivots], pivots
 
 
 def nullspace(rows, ncols):
@@ -61,7 +71,7 @@ def nullspace(rows, ncols):
         v = [Fraction(0)] * ncols
         v[fcol] = Fraction(1)
         for ri, pc in enumerate(pivots):
-            v[pc] = -red[ri][fcol]
+            v[pc] = -red[ri].get(fcol, Fraction(0))
         basis.append(tuple(v))
     return basis
 
@@ -324,18 +334,18 @@ class LinearFamily:
 # --- constraint rows ------------------------------------------------------
 #
 # Each solver fills accumulators {output coordinate: {unknown: coeff}} with
-# `bump`; every nonzero cell is one constraint row.  Rows are emitted in
-# the accumulator's insertion order, which fixes the pivot order of rref.
+# `bump`; every nonzero cell is one sparse constraint row, and the rows go
+# to rref as they are.  Their order does not matter: the reduced row
+# echelon form, and with it the family basis, is unique.
 
 def _emit(rows, acc):
-    """Append the nonzero cells of acc to rows, in insertion order."""
+    """Append the nonzero cells of acc to rows."""
     rows.extend(cell for cell in acc.values() if cell)
 
 
 def _solve(rows, U):
     """The family of vectors in k^U that every sparse row annihilates."""
-    dense = [[r.get(u, Fraction(0)) for u in range(U)] for r in rows]
-    return LinearFamily(ambient_dim=U, basis=nullspace(dense, U))
+    return LinearFamily(ambient_dim=U, basis=nullspace(rows, U))
 
 
 # --- Poisson structure solver --------------------------------------------

@@ -34,6 +34,16 @@ def test_monomial_basics():
         m * Monomial((1, 1))
 
 
+def test_monomial_products_are_unchecked_but_construction_is_not():
+    p = Monomial((1, 0)) * Monomial((0, 2))
+    assert type(p) is Monomial and p == (1, 2) and p.degree == 3
+    q = p.quotient(Monomial((1, 1)))
+    assert type(q) is Monomial and q == (0, 1)
+    for bad in ((1, -1), (-1,), (0, 0, -3)):
+        with pytest.raises(ValueError):
+            Monomial(bad)
+
+
 def test_monomials_enumeration_grlex():
     ms = monomials(2, 2)
     assert ms == [Monomial(t) for t in

@@ -374,6 +374,18 @@ def test_qmap_of_no_itable_is_rejected(tmp_path, capsys):
     assert "I(x1)" in err
 
 
+def test_qmap_rejection_uses_the_file_variables(tmp_path, capsys):
+    p = tmp_path / "q.json"
+    p.write_text(dump_json({
+        "kind": "qmap", "variables": ["a", "b"], "max_degree": 1,
+        "payload": {"rows": [{"monomial": "a",
+                              "tensor": [["a", "b", "1"]]}]}}))
+    code, text, err = run_stderr(["transform", str(p), "--to", "i"], capsys)
+    assert (code, text) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "I(a)" in err and "x1" not in err
+
+
 def test_transform_inapplicable():
     assert run(["transform", COUNTEREX, "--to", "copoisson"])[0] == 2
     assert run(["transform", SO3, "--to", "series"])[0] == 2

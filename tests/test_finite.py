@@ -1,6 +1,8 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from copoisson.checks import check_dual_of_abcd
 from copoisson.finite import (
@@ -25,26 +27,113 @@ from copoisson.finite import (
 )
 
 
+def dense_rref(rows, ncols):
+    """Naive dense Gauss-Jordan with first-nonzero pivoting: the reference
+    for the sparse rref."""
+    m = [[Fraction(v) for v in r] for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        piv = m[r][c]
+        m[r] = [v / piv for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
+
+
+def dense_nullspace(rows, ncols):
+    red, pivots = dense_rref(rows, ncols)
+    basis = []
+    for fcol in range(ncols):
+        if fcol in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[fcol] = Fraction(1)
+        for ri, pc in enumerate(pivots):
+            v[pc] = -red[ri][fcol]
+        basis.append(tuple(v))
+    return basis
+
+
+def to_dense(row, ncols):
+    return [row.get(c, Fraction(0)) for c in range(ncols)]
+
+
+@st.composite
+def sparse_matrices(draw):
+    """(rows, ncols): a few sparse rational rows, some of them dependent."""
+    ncols = draw(st.integers(1, 7))
+    coeff = st.builds(Fraction, st.integers(-3, 3).filter(bool),
+                      st.integers(1, 3))
+    row = st.dictionaries(st.integers(0, ncols - 1), coeff, max_size=4)
+    rows = draw(st.lists(row, max_size=9))
+    # append combinations of earlier rows, so rank deficiency is common
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, len(rows) - 1))
+        a, b = draw(coeff), draw(coeff)
+        comb = {c: a * rows[i].get(c, 0) + b * rows[j].get(c, 0)
+                for c in rows[i].keys() | rows[j].keys()}
+        rows.append({c: v for c, v in comb.items() if v})
+    return rows, ncols
+
+
 def test_rref_and_nullspace():
-    rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
+    rows = [{0: 1, 1: 2, 2: 3}, {0: 2, 1: 4, 2: 6}, {1: 1, 2: 1}]
     red, pivots = rref(rows, 3)
     assert pivots == [0, 1]
-    assert red == [[Fraction(1), Fraction(0), Fraction(1)],
-                   [Fraction(0), Fraction(1), Fraction(1)]]
+    assert red == [{0: Fraction(1), 2: Fraction(1)},
+                   {1: Fraction(1), 2: Fraction(1)}]
     ns = nullspace(rows, 3)
     assert ns == [(Fraction(-1), Fraction(-1), Fraction(1))]
     # every nullspace vector annihilates the rows
     for v in ns:
         for r in rows:
-            assert sum(Fraction(a) * b for a, b in zip(r, v)) == 0
+            assert sum(Fraction(a) * v[c] for c, a in r.items()) == 0
 
 
 def test_nullspace_deterministic_normalization():
-    rows = [[1, 1, 0, 0]]
+    rows = [{0: 1, 1: 1}]
     ns = nullspace(rows, 4)
     assert len(ns) == 3
     # one leading free coordinate per basis vector, in column order
     assert ns[0][1] == 1 and ns[1][2] == 1 and ns[2][3] == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_matrices())
+def test_rref_matches_dense_reference(case):
+    rows, ncols = case
+    snapshot = [dict(r) for r in rows]
+    red, pivots = rref(rows, ncols)
+    want_red, want_pivots = dense_rref(
+        [to_dense(r, ncols) for r in rows], ncols)
+    assert rows == snapshot  # the input rows are not modified
+    assert pivots == want_pivots
+    assert [to_dense(r, ncols) for r in red] == want_red
+    assert all(all(v and type(v) is Fraction for v in r.values())
+               for r in red)
+    assert nullspace(rows, ncols) == dense_nullspace(
+        [to_dense(r, ncols) for r in rows], ncols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices(), st.randoms(use_true_random=False))
+def test_rref_ignores_row_order(case, rnd):
+    rows, ncols = case
+    shuffled = list(rows)
+    rnd.shuffle(shuffled)
+    assert rref(shuffled, ncols) == rref(rows, ncols)
 
 
 def test_sweedler_tables():
@@ -221,3 +310,50 @@ def test_family_member_parameter_count():
     fam = LinearFamily(ambient_dim=2, basis=[(Fraction(1), Fraction(0))])
     with pytest.raises(ValueError):
         fam.member([1, 2])
+
+
+def group_algebra_s3():
+    """k[S3] from permutation products: group-like basis, unit at the
+    identity, S(g) = g^-1."""
+    elems = sorted(permutations(range(3)))  # the identity (0, 1, 2) first
+    n = len(elems)
+    index = {g: i for i, g in enumerate(elems)}
+    compose = lambda g, h: tuple(g[h[t]] for t in range(3))
+    mult = [[[0] * n for _ in range(n)] for _ in range(n)]
+    comult = [[[0] * n for _ in range(n)] for _ in range(n)]
+    antipode = [[0] * n for _ in range(n)]
+    for i, g in enumerate(elems):
+        for j, h in enumerate(elems):
+            mult[i][j][index[compose(g, h)]] = 1
+        comult[i][i][i] = 1
+        antipode[i][next(j for j, h in enumerate(elems)
+                         if compose(g, h) == elems[0])] = 1
+    return FinHopf.create(
+        dim=n, basis_names=["".join(map(str, g)) for g in elems],
+        mult=mult, unit=[1] + [0] * (n - 1),
+        comult=comult, counit=[1] * n, antipode=antipode)
+
+
+def test_s3_family_dimensions():
+    H = group_algebra_s3()
+    assert solve_poisson_family(H).dimension == 1
+    assert solve_poisson_family(H, hopf_compat=True).dimension == 0
+    assert solve_copoisson_family(H).dimension == 0
+    assert solve_copoisson_family(H, hopf_compat=True).dimension == 0
+
+
+def test_s3_poisson_basis_satisfies_leibniz():
+    H = group_algebra_s3()
+    (vec,) = solve_poisson_family(H).basis
+    br = brackets_from_vector(H, vec)
+    assert any(any(v) for v in br.values())
+    e = H.basis_vec
+    for a in range(H.dim):
+        for b in range(H.dim):
+            for c in range(H.dim):
+                lhs = bracket_eval(H, br, H.mul_vec(e(a), e(b)), e(c))
+                rhs = tuple(
+                    x + y for x, y in zip(
+                        H.mul_vec(e(a), bracket_eval(H, br, e(b), e(c))),
+                        H.mul_vec(bracket_eval(H, br, e(a), e(c)), e(b))))
+                assert lhs == rhs

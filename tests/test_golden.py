@@ -60,6 +60,15 @@ GOLDEN = [
     (["classify-h4", "--structure", "copoisson", "--format", "text",
       "--hopf"],
      0, "57028f42e4832298274a7e5ab41664f420c062be48e23a18b123e40de38cdc39"),
+    (["classify-h4", "--structure", "poisson", "--format", "json"],
+     0, "6d3f9e2ca35a43a337113cdc5f78807a34093c83ffad7639daa3b37166846be2"),
+    (["classify-h4", "--structure", "poisson", "--format", "json", "--hopf"],
+     0, "ecfacbacd590072aacecb1a75d3330c42aac2a4650b63b9d7758be69b45d1197"),
+    (["classify-h4", "--structure", "copoisson", "--format", "json"],
+     0, "f788b5a4775604ff57732c72ce555a4171d398ec3dc9056370e33bb2b9716d2c"),
+    (["classify-h4", "--structure", "copoisson", "--format", "json",
+      "--hopf"],
+     0, "5220615e3e9f885046378ebd3a0faf122b2ac40526b45657c074086e6b070f7f"),
     (["relations", "--dim", "4"],
      0, "0cadddc3899d8dfd2e1ed1e5a58dcde3c0b0a5d3142d8e634e21b507742b03a7"),
 ]
