@@ -16,7 +16,6 @@ from .algebra import (
     format_tensor,
     grlex_key,
     monomials,
-    poly_tensor_poly,
     splittings,
     t2_swap,
     t3_cycle,

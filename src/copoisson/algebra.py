@@ -391,13 +391,6 @@ def tensor3_mul(u, v):
     return Tensor3._trusted(out)
 
 
-def poly_tensor_poly(f, g):
-    """f (x) g as a Tensor2."""
-    return Tensor2._trusted({(m1, m2): c1 * c2
-                             for m1, c1 in f.terms.items()
-                             for m2, c2 in g.terms.items()})
-
-
 def default_names(d):
     return [f"x{i + 1}" for i in range(d)]
 

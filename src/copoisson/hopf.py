@@ -142,8 +142,10 @@ def _p_j_sum(table, a, b, signed):
             v = table(a1, b1)
             if v:
                 sign = -1 if signed and (a2.degree + b2.degree) % 2 else 1
-                axpy(out, (v * Poly.from_monomial(a2 * b2)).terms,
-                     sign * ca * cb)
+                w = sign * ca * cb
+                a2b2 = a2 * b2
+                for m, c in v.terms.items():
+                    bump(out, m * a2b2, w * c)
     return Poly._trusted(out)
 
 

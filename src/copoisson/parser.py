@@ -119,10 +119,15 @@ class _Parser:
             if tok[0] != "num" or tok[1].denominator != 1 or tok[1] < 0:
                 raise ParseError("exponent must be a non-negative integer",
                                  tok[2] if tok[0] != "end" else caret[2])
+            # repeated squaring: O(log n) products, so x1^999999999 is cheap
             n = int(tok[1])
             out = Poly.constant(self.d, 1)
-            for _ in range(n):
-                out = out * p
+            while n:
+                if n & 1:
+                    out = out * p
+                n >>= 1
+                if n:
+                    p = p * p
             return out
         return p
 

@@ -1,10 +1,10 @@
 """Concrete (co)Poisson structure objects on k[x1..xd].
 
-Bracket tables drive Poisson brackets through the partial-derivative
-formula; I-tables drive cobrackets through q(a) = I(a_1) Delta(a_2).  The
-factorial rescaling between the two sides realizes the bijection between
-Poisson structures on power series and co-Poisson structures on
-polynomials.
+Bracket tables drive Poisson brackets through the closed form of the
+bracket of two monomials, memoized per table; I-tables drive cobrackets
+through q(a) = I(a_1) Delta(a_2).  The factorial rescaling between the two
+sides realizes the bijection between Poisson structures on power series
+and co-Poisson structures on polynomials.
 """
 
 from __future__ import annotations
@@ -131,11 +131,17 @@ class BracketTable:
     Only i<j entries are stored; f_ji = -f_ij and f_ii = 0 implicitly.
     truncation_degree None means polynomial mode; an integer N means
     power-series mode with arithmetic reduced modulo degree > N.
+
+    `f` and `truncation_degree` are not mutated after __post_init__:
+    `_memo` caches the monomial brackets computed from them (see
+    bracket_monomials).
     """
 
     d: int
     f: dict = field(default_factory=dict)
     truncation_degree: int | None = None
+    _memo: dict = field(default_factory=dict, init=False, compare=False,
+                        repr=False)
 
     def __post_init__(self):
         for (i, j) in self.f:
@@ -164,18 +170,36 @@ class BracketTable:
 
 
 def poisson_bracket(B, f, g):
-    """{f, g} = sum_ij (df/dx_i)(dg/dx_j) f_ij (truncated in series mode)."""
+    """{f, g}: the bilinear extension of bracket_monomials."""
     out = {}
-    for (i, j), fij in B.f.items():
-        if fij.is_zero():
-            continue
-        term = (f.partial(i) * g.partial(j) - f.partial(j) * g.partial(i)) * fij
-        axpy(out, term.terms)
-    return B._reduce(Poly._trusted(out))
+    for a, ca in f.terms.items():
+        for b, cb in g.terms.items():
+            axpy(out, bracket_monomials(B, a, b).terms, ca * cb)
+    return Poly._trusted(out)
 
 
 def bracket_monomials(B, a, b):
-    return poisson_bracket(B, Poly.from_monomial(a), Poly.from_monomial(b))
+    """{x^a, x^b} = sum_{i<j} (a_i b_j - a_j b_i) x^(a+b-e_i-e_j) f_ij.
+
+    Reduced by B._reduce (truncated in series mode) and memoized in
+    B._memo, so each monomial pair is evaluated once per table.  The
+    result is shared between callers: do not mutate it.
+    """
+    key = (a, b)
+    val = B._memo.get(key)
+    if val is None:
+        ab = a * b
+        out = {}
+        for (i, j), fij in B.f.items():
+            w = a[i] * b[j] - a[j] * b[i]
+            if w:
+                # w != 0 needs x_i and x_j both in ab, so no exponent is negative
+                shift = Monomial(e - (k == i) - (k == j)
+                                 for k, e in enumerate(ab))
+                for m, c in fij.terms.items():
+                    bump(out, shift * m, w * c)
+        val = B._memo[key] = B._reduce(Poly._trusted(out))
+    return val
 
 
 def pmap_from_bracket(B, N):

@@ -69,6 +69,12 @@ GOLDEN = [
     (["classify-h4", "--structure", "copoisson", "--format", "json",
       "--hopf"],
      0, "5220615e3e9f885046378ebd3a0faf122b2ac40526b45657c074086e6b070f7f"),
+    (["check", "quadratic_d3.json", "--format", "json"],
+     1, "15ece1d9448b172cda6997342fb4c4351a591857955ddc5c416d708a7f9db506"),
+    (["check", "quadratic_d3.json", "--format", "text"],
+     1, "50bcf81c613788bf9f5c39e052a181ceb223d3597c8b42c06ed3d609b565d068"),
+    (["transform", "quadratic_d3.json", "--to", "p"],
+     0, "b818116b768f53f65bb5f39686e49c5dd2fa7edb8e6f06b9dce7432dda83aa1a"),
     (["relations", "--dim", "4"],
      0, "0cadddc3899d8dfd2e1ed1e5a58dcde3c0b0a5d3142d8e634e21b507742b03a7"),
 ]

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,22 @@ def test_parentheses_and_powers():
     p = parse_poly("(x1 + x2)^2", VARS2)
     assert p == parse_poly("x1^2 + 2*x1*x2 + x2^2", VARS2)
     assert parse_poly("x1^0", VARS2) == Poly.constant(2, 1)
+
+
+def test_large_exponent_is_fast():
+    # powers are taken by repeated squaring, not n successive products
+    start = time.perf_counter()
+    p = parse_poly("x1^999999999", VARS2)
+    assert time.perf_counter() - start < 1
+    assert p == Poly.from_monomial(Monomial((999999999, 0)))
+
+
+def test_power_equals_repeated_product():
+    base = parse_poly("x1 - 2*x2 + 1/2", VARS2)
+    product = Poly.constant(2, 1)
+    for _ in range(7):
+        product = product * base
+    assert parse_poly("(x1 - 2*x2 + 1/2)^7", VARS2) == product
 
 
 def test_unary_signs():

@@ -1,13 +1,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import copoisson.checks
 from copoisson.algebra import Monomial, Poly, Tensor2, monomials
 from copoisson.structures import (
     BracketTable,
     ITable,
     SkewMatrix,
     StructConsts,
+    bracket_monomials,
     copoisson_from_series,
     is_rational,
     itable_from_consts,
@@ -22,6 +25,7 @@ from copoisson.checks import (
     check_cojacobi,
     check_coleibniz,
     check_counit_kill,
+    check_poisson_hopf_compat,
     check_skew,
     cojacobi_affordable_degree,
 )
@@ -95,6 +99,83 @@ def test_series_mode_truncates():
     w = poisson_bracket(B, Poly.from_monomial(mono(2, 0)),
                         Poly.from_monomial(mono(0, 1)))
     assert w.is_zero()  # 2 x^3 is beyond the truncation
+
+
+def reference_bracket(B, f, g):
+    """{f, g} = sum_{i<j} (df/dx_i dg/dx_j - df/dx_j dg/dx_i) f_ij, reduced
+    like the table's own arithmetic: the partial-derivative formula."""
+    out = Poly()
+    for (i, j), fij in B.f.items():
+        out = out + (f.partial(i) * g.partial(j)
+                     - f.partial(j) * g.partial(i)) * fij
+    return B._reduce(out)
+
+
+coeffs = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def tables_and_polys(draw):
+    """A random bracket table in polynomial or series mode, with a
+    monomial strategy and a polynomial strategy over its variables."""
+    d = draw(st.integers(2, 3))
+    monos = st.tuples(*[st.integers(0, 3)] * d).map(Monomial)
+    polys = st.dictionaries(monos, coeffs, max_size=4).map(Poly)
+    f = {}
+    for i in range(d):
+        for j in range(i + 1, d):
+            p = draw(polys)
+            if p:
+                f[(i, j)] = p
+    truncation = draw(st.one_of(st.none(), st.integers(0, 6)))
+    return BracketTable(d=d, f=f, truncation_degree=truncation), monos, polys
+
+
+def fractions_only(p):
+    return all(type(c) is Fraction for c in p.terms.values())
+
+
+@settings(deadline=None, max_examples=60)
+@given(tables_and_polys(), st.data())
+def test_bracket_kernel_matches_partial_derivative_formula(table, data):
+    B, monos, polys = table
+    a, b = data.draw(monos), data.draw(monos)
+    ab = bracket_monomials(B, a, b)
+    assert ab == reference_bracket(B, Poly.from_monomial(a),
+                                   Poly.from_monomial(b))
+    assert fractions_only(ab)
+    assert bracket_monomials(B, b, a) == -ab
+    assert bracket_monomials(B, a, b) == ab
+    f, g = data.draw(polys), data.draw(polys)
+    fg = poisson_bracket(B, f, g)
+    assert fg == reference_bracket(B, f, g)
+    assert fractions_only(fg)
+    assert poisson_bracket(B, g, f) == -fg
+    assert poisson_bracket(B, f, g) == fg
+
+
+def test_compat_check_evaluates_each_monomial_bracket_once(monkeypatch):
+    # the kernel reduces each closed-form evaluation exactly once, so
+    # counting B._reduce counts evaluations
+    B = linear_poisson(so3_consts())
+    reduce = B._reduce
+    evaluations = []
+    calls = []
+
+    def counted_reduce(p):
+        evaluations.append(p)
+        return reduce(p)
+
+    def counted_bracket(B, a, b):
+        calls.append((a, b))
+        return bracket_monomials(B, a, b)
+
+    monkeypatch.setattr(B, "_reduce", counted_reduce)
+    monkeypatch.setattr(copoisson.checks, "bracket_monomials",
+                        counted_bracket)
+    assert check_poisson_hopf_compat(B, 4).passed
+    assert len(evaluations) == len(B._memo) == len(set(calls))
+    assert 10 * len(B._memo) < len(calls)
 
 
 def test_linear_poisson_assembly():
