@@ -77,6 +77,16 @@ GOLDEN = [
      0, "b818116b768f53f65bb5f39686e49c5dd2fa7edb8e6f06b9dce7432dda83aa1a"),
     (["relations", "--dim", "4"],
      0, "0cadddc3899d8dfd2e1ed1e5a58dcde3c0b0a5d3142d8e634e21b507742b03a7"),
+    # fractional co-side witnesses: skew, counit-kill, co-Leibniz and
+    # co-Jacobi residuals of a qmap, and co-Jacobi in both forms of an I-table
+    (["check", "qmap_fractional.json", "--format", "json"],
+     1, "9a1e6ef326391907e8175dd8e352d273e91e57a37ddb52916064e7b045f82745"),
+    (["check", "qmap_fractional.json", "--format", "text"],
+     1, "2c49a3e6a16c0c89aa152c5d769effaf3996be0a4556255a3e87b82e4da8b888"),
+    (["check", "copoisson_fractional_d3.json", "--format", "json"],
+     1, "cd48531eb0ec7725ab36822450bbe8f1c7d16a76981491816efadc9fed944e79"),
+    (["check", "copoisson_fractional_d3.json", "--format", "text"],
+     1, "84dc72aa10f8cb79dc20eb68199e57868f7b2714068f0d700833d441d0ed960c"),
 ]
 
 
