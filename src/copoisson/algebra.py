@@ -1,16 +1,17 @@
 """Exact sparse arithmetic for polynomials and tensor powers of k[x1..xd].
 
-Coefficients are arbitrary-precision rationals (fractions.Fraction); all
-equality checks are exact.  Monomials are exponent tuples; the
-deterministic iteration order used for serialization and reports is graded
+Coefficients are exact rationals, `Fraction`s or `int`s; all equality
+checks are exact.  Monomials are exponent tuples; the deterministic
+iteration order used for serialization and reports is graded
 lexicographic.
 
-Kernel invariant: a sparse map's `terms` dict holds only nonzero Fraction
-values, so identities are verified by reducing differences to the empty
-map.  The public constructors coerce and drop zeros; `_Sparse._trusted`
-wraps, without copying or coercing, a dict that already holds only
-nonzero Fractions.  Sums are accumulated in place on plain dicts with
-`bump` and `axpy`, which keep that invariant when they are fed Fractions.
+Kernel invariant: a sparse map's `terms` dict holds only nonzero `int` or
+`Fraction` values, so identities are verified by reducing differences to
+the empty map.  The public constructors coerce outside input to `Fraction`
+and drop zeros; `_Sparse._trusted` wraps, without copying or coercing, a
+dict that already holds only nonzero values.  `int`s come only from
+splitting weights and from the `scaled()` copies of a table.  Sums are
+accumulated in place on plain dicts with `bump` and `axpy`.
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ def factorial(a):
 def splittings(m, parts):
     """All ordered factorizations of m into `parts` monomials, with weights.
 
-    Yields (coeff, (m1, ..., mk)) where m1*...*mk = m and coeff is the
+    Yields (coeff, (m1, ..., mk)) where m1*...*mk = m and coeff is the int
     multinomial coefficient m!/(m1!...mk!), i.e. the multiplicity of the
     term m1 x ... x mk in the iterated comultiplication of m.
     """
@@ -157,7 +158,7 @@ def _splittings(m, parts):
         factors = tuple(
             Monomial(compo[j] for _, compo in choice)
             for j in range(parts))
-        out.append((Fraction(coeff), factors))
+        out.append((coeff, factors))
     return tuple(out)
 
 
@@ -199,7 +200,7 @@ class _Sparse:
 
     @classmethod
     def _trusted(cls, terms):
-        """Wrap a dict of nonzero Fractions as is: no copy, no coercion."""
+        """Wrap a dict of nonzero values as is: no copy, no coercion."""
         obj = object.__new__(cls)
         obj.terms = terms
         return obj
@@ -237,6 +238,9 @@ class _Sparse:
         if not c:
             return self._trusted({})
         return self._trusted({k: c * v for k, v in self.terms.items()})
+
+    def __truediv__(self, c):
+        return self.scale(Fraction(1, c))
 
     def __rmul__(self, c):
         if isinstance(c, (int, Fraction)):

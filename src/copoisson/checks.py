@@ -3,6 +3,10 @@
 A pass is a certificate "verified up to degree N", never a claim about
 all of A.  Witness enumeration is graded-lex so reports are reproducible;
 witness lists are capped with a total-violation count.
+
+The co-side checks run on D q (or D I), the int-valued copy that
+`scaled()` returns; a witness residual is divided back by D, or by D^2 for
+co-Jacobi, which is quadratic in the table.
 """
 
 from __future__ import annotations
@@ -111,12 +115,13 @@ def _require_bound(value, bound, what):
 def check_skew(q, N):
     """(1 + t2) q(a) = 0 for all monomials |a| <= N."""
     _require_bound(N, q.domain_degree_bound, "check_skew")
+    q, D = q.scaled()
     col = _Collector("skew", N)
     for m in monomials(q.d, N):
         v = q(m)
         res = v + t2_swap(v)
         if res:
-            col.violation(format_monomial(m), format_tensor(res))
+            col.violation(format_monomial(m), format_tensor(res / D))
     return col.report()
 
 
@@ -145,11 +150,12 @@ def check_cojacobi(q, N):
     """(1 + t3 + t3^2)(q (x) 1) q(a) = 0 for all |a| <= N."""
     need = cojacobi_required_bound(q, N)
     _require_bound(need, q.domain_degree_bound, "check_cojacobi")
+    q, D = q.scaled()
     col = _Collector("cojacobi", N)
     for m in monomials(q.d, N):
         res = cyclic_sum(q_left(q(m), q))
         if res:
-            col.violation(format_monomial(m), format_tensor(res))
+            col.violation(format_monomial(m), format_tensor(res / (D * D)))
     return col.report()
 
 
@@ -167,6 +173,7 @@ def check_coleibniz(q, N, form="definition"):
     if form not in COLEIBNIZ_FORMS:
         raise ValueError(f"unknown co-Leibniz form {form!r}")
     _require_bound(N, q.domain_degree_bound, "check_coleibniz")
+    q, D = q.scaled()
     col = _Collector(f"coleibniz[{form}]", N)
     for m in monomials(q.d, N):
         dm = comult(m)
@@ -182,13 +189,14 @@ def check_coleibniz(q, N, form="definition"):
             rhs = t - t3_cycle(t)
         res = lhs - rhs
         if res:
-            col.violation(format_monomial(m), format_tensor(res))
+            col.violation(format_monomial(m), format_tensor(res / D))
     return col.report()
 
 
 def check_counit_kill(q, N):
     """(eps (x) 1) q = (1 (x) eps) q = 0 on all |a| <= N."""
     _require_bound(N, q.domain_degree_bound, "check_counit_kill")
+    q, D = q.scaled()
     col = _Collector("counit-kill", N)
     for m in monomials(q.d, N):
         left = {}
@@ -201,14 +209,15 @@ def check_counit_kill(q, N):
         if left or right:
             col.violation(
                 format_monomial(m),
-                f"(eps(x)1)q = {format_poly(Poly._trusted(left))}; "
-                f"(1(x)eps)q = {format_poly(Poly._trusted(right))}")
+                f"(eps(x)1)q = {format_poly(Poly._trusted(left) / D)}; "
+                f"(1(x)eps)q = {format_poly(Poly._trusted(right) / D)}")
     return col.report()
 
 
 def check_delta_derivation(q, N):
     """q(ab) = q(a) Delta(b) + Delta(a) q(b) for all pairs |a|+|b| <= N."""
     _require_bound(N, q.domain_degree_bound, "check_delta_derivation")
+    q, D = q.scaled()
     col = _Collector("delta-derivation", N)
     for a in monomials(q.d, N):
         for b in monomials(q.d, N - a.degree):
@@ -220,7 +229,7 @@ def check_delta_derivation(q, N):
             if res:
                 col.violation(
                     f"({format_monomial(a)}, {format_monomial(b)})",
-                    format_tensor(res))
+                    format_tensor(res / D))
     return col.report()
 
 
@@ -232,13 +241,14 @@ def check_cojacobi_coeffs(I, N):
             + l_{a1}^{sj} l_{x_s a2}^{ki} ) must vanish.
     """
     _require_bound(N + 1, I.domain_degree_bound, "check_cojacobi_coeffs")
+    I, D = I.scaled()
     col = _Collector("cojacobi-coeffs", N)
     d = I.d
     for a in monomials(d, N):
         for i in range(d):
             for j in range(i + 1, d):
                 for k in range(j + 1, d):
-                    total = Fraction(0)
+                    total = 0
                     for coeff, (a1, a2) in splittings(a, 2):
                         m1 = I.matrix(a1)
                         if m1.is_zero():
@@ -255,7 +265,7 @@ def check_cojacobi_coeffs(I, N):
                         col.violation(
                             f"a={format_monomial(a)}, "
                             f"(i,j,k)=({i + 1},{j + 1},{k + 1})",
-                            format_coeff(total))
+                            format_coeff(Fraction(total, D * D)))
     return col.report()
 
 
@@ -377,14 +387,14 @@ def check_eps_s_morphisms(B, N, compat=None):
 def check_antipode_coanti(q, N):
     """q(S(a)) = t2 (S (x) S) q(a) for all |a| <= N."""
     _require_bound(N, q.domain_degree_bound, "check_antipode_coanti")
+    q, D = q.scaled()
     col = _Collector("antipode-coanti", N)
     for m in monomials(q.d, N):
-        sign = -1 if m.degree % 2 else 1
-        lhs = q(m).scale(sign)  # q(S(a)) with S(a) = (-1)^|a| a
-        rhs = t2_swap(antipode_tensor2(q(m)))
-        res = lhs - rhs
+        v = q(m)
+        lhs = -v if m.degree % 2 else v  # q(S(a)) with S(a) = (-1)^|a| a
+        res = lhs - t2_swap(antipode_tensor2(v))
         if res:
-            col.violation(format_monomial(m), format_tensor(res))
+            col.violation(format_monomial(m), format_tensor(res / D))
     return col.report()
 
 

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import (
+    Monomial,
     Tensor2,
     format_coeff,
     format_monomial,
@@ -45,7 +47,22 @@ def parse_rational(s, where=""):
     return v
 
 
+# a factor as format_monomial writes it: name or name^k
+_FACTOR_RE = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)(?:\^([0-9]+))?")
+
+
 def parse_monomial(s, variables, where=""):
+    """Factors joined by "*", as format_monomial writes them, are read
+    directly; parse_poly accepts or rejects any other text as before."""
+    if isinstance(s, str):
+        index = {name: i for i, name in enumerate(variables)}
+        exps = [0] * len(variables)
+        for f in map(_FACTOR_RE.fullmatch, s.split("*")):
+            if f is None or f[1] not in index:
+                break
+            exps[index[f[1]]] += int(f[2] or 1)
+        else:
+            return Monomial(exps)
     try:
         p = parse_poly(s, variables)
     except ParseError as e:
@@ -258,19 +275,13 @@ def spec_from_dict(doc):
              "\"max_degree\" must be a non-negative integer")
     payload = doc.get("payload")
     _require(isinstance(payload, dict), "\"payload\" must be an object")
-    if kind == "poisson":
-        structure = _decode_poisson(variables, max_degree, payload)
-    elif kind == "copoisson":
-        structure = _decode_copoisson(variables, max_degree, payload)
-    elif kind == "struct_consts":
-        structure = _decode_struct_consts(variables, max_degree, payload)
-    elif kind == "qmap":
-        structure = _decode_qmap(variables, max_degree, payload)
-    elif kind == "pmap":
-        structure = _decode_pmap(variables, max_degree, payload)
+    if kind == "finhopf":
+        structure, variables = _decode_finhopf(payload), []
     else:
-        structure = _decode_finhopf(payload)
-        variables = []
+        decode = {"poisson": _decode_poisson, "copoisson": _decode_copoisson,
+                  "struct_consts": _decode_struct_consts,
+                  "qmap": _decode_qmap, "pmap": _decode_pmap}[kind]
+        structure = decode(variables, max_degree, payload)
     return StructureSpec(kind=kind, variables=list(variables),
                          max_degree=max_degree, structure=structure)
 
@@ -364,19 +375,13 @@ def finhopf_payload(H):
 
 
 def spec_to_dict(spec):
-    names = spec.variables or None
-    if spec.kind == "poisson":
-        payload = poisson_payload(spec.structure, names)
-    elif spec.kind == "copoisson":
-        payload = copoisson_payload(spec.structure, names)
-    elif spec.kind == "struct_consts":
-        payload = struct_consts_payload(spec.structure, names)
-    elif spec.kind == "qmap":
-        payload = qmap_payload(spec.structure, names)
-    elif spec.kind == "pmap":
-        payload = pmap_payload(spec.structure, names)
-    else:
+    if spec.kind == "finhopf":
         payload = finhopf_payload(spec.structure)
+    else:
+        encode = {"poisson": poisson_payload, "copoisson": copoisson_payload,
+                  "struct_consts": struct_consts_payload,
+                  "qmap": qmap_payload, "pmap": pmap_payload}[spec.kind]
+        payload = encode(spec.structure, spec.variables or None)
     return {
         "kind": spec.kind,
         "variables": list(spec.variables),

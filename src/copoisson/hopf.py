@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .algebra import (
     DegreeBoundError,
@@ -53,12 +54,13 @@ def counit(f):
 
 def antipode(f):
     """S: x^a -> (-1)^|a| x^a, extended linearly."""
-    return Poly({m: -c if m.degree % 2 else c for m, c in f.terms.items()})
+    return Poly._trusted(
+        {m: -c if m.degree % 2 else c for m, c in f.terms.items()})
 
 
 def antipode_tensor2(t):
     """(S (x) S) applied to a Tensor2."""
-    return Tensor2({
+    return Tensor2._trusted({
         k: -c if (k[0].degree + k[1].degree) % 2 else c
         for k, c in t.terms.items()})
 
@@ -88,11 +90,14 @@ class QMap:
                 f"{self.domain_degree_bound}")
         return self.assignments.get(m, Tensor2())
 
-    def apply_poly(self, f):
-        out = {}
-        for m, c in f.terms.items():
-            axpy(out, self(m).terms, c)
-        return Tensor2._trusted(out)
+    def scaled(self):
+        """(D q, D): D the lcm of the denominators, D q int-valued."""
+        D = lcm(*(c.denominator for t in self.assignments.values()
+                  for c in t.terms.values()))
+        return QMap(self.d, self.domain_degree_bound, {
+            m: Tensor2._trusted({k: c.numerator * (D // c.denominator)
+                                 for k, c in t.terms.items()})
+            for m, t in self.assignments.items()}), D
 
 
 @dataclass

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .algebra import (
     DegreeBoundError,
@@ -84,7 +85,7 @@ class SkewMatrix:
                 v = self.entries[i][j]
                 if v:
                     out[(Monomial.variable(d, i), Monomial.variable(d, j))] = v
-        return Tensor2(out)
+        return Tensor2._trusted(out)
 
 
 @dataclass
@@ -106,7 +107,8 @@ class ITable:
                     f"row {m!r} beyond bound {self.domain_degree_bound}")
 
     def matrix(self, m):
-        return self.rows.get(m, SkewMatrix.zero(self.d))
+        mat = self.rows.get(m)
+        return SkewMatrix.zero(self.d) if mat is None else mat
 
     def __call__(self, m):
         if m.degree > self.domain_degree_bound:
@@ -115,13 +117,18 @@ class ITable:
                 f"{self.domain_degree_bound}")
         return self.matrix(m).to_tensor2()
 
-    def support_degrees(self):
-        return sorted({m.degree for m, mat in self.rows.items()
-                       if not mat.is_zero()})
+    def scaled(self):
+        """(D I, D): D the lcm of the denominators, D I int-valued."""
+        D = lcm(*(v.denominator for mat in self.rows.values()
+                  for row in mat.entries for v in row))
+        return ITable(self.d, self.domain_degree_bound, {
+            m: SkewMatrix(tuple(tuple(v.numerator * (D // v.denominator)
+                                      for v in row) for row in mat.entries))
+            for m, mat in self.rows.items()}), D
 
     def max_support_degree(self):
-        degs = self.support_degrees()
-        return degs[-1] if degs else -1
+        return max((m.degree for m, mat in self.rows.items()
+                    if not mat.is_zero()), default=-1)
 
 
 @dataclass
@@ -214,12 +221,14 @@ def pmap_from_bracket(B, N):
 
 
 def make_copoisson(I):
-    """Materialize q(a) = I(a_1) Delta(a_2) on all monomials within bound."""
+    """Materialize q(a) = I(a_1) Delta(a_2) on all monomials within bound,
+    summed on the int-valued D I and divided by D once."""
+    J, D = I.scaled()
     assignments = {}
     for m in monomials(I.d, I.domain_degree_bound):
-        v = q_from_i(I, m)
+        v = q_from_i(J, m)
         if v:
-            assignments[m] = v
+            assignments[m] = v / D
     return QMap(d=I.d, domain_degree_bound=I.domain_degree_bound,
                 assignments=assignments)
 

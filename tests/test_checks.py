@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from copoisson.algebra import (
     DegreeBoundError,
@@ -10,6 +11,7 @@ from copoisson.algebra import (
     monomials,
 )
 from copoisson.checks import (
+    COLEIBNIZ_FORMS,
     check_antipode_coanti,
     check_cojacobi,
     check_cojacobi_coeffs,
@@ -26,7 +28,7 @@ from copoisson.checks import (
     cojacobi_affordable_degree,
     in_skew_generator_space,
 )
-from copoisson.hopf import QMap, comult, i_from_q
+from copoisson.hopf import QMap, comult, i_from_q, q_from_i
 from copoisson.structures import (
     BracketTable,
     ITable,
@@ -272,3 +274,96 @@ def test_report_serialization():
     doc = rep.to_dict()
     assert doc["check"] == "skew" and doc["passed"] is True
     assert doc["witnesses"] == []
+
+
+# --- integer scaling of the co-side checks ---------------------------------
+
+class UnscaledQ(QMap):
+    """A QMap whose checks run on q itself, in Fraction arithmetic."""
+
+    def scaled(self):
+        return self, 1
+
+
+class UnscaledI(ITable):
+    """An ITable whose checks and make_copoisson run on I itself."""
+
+    def scaled(self):
+        return self, 1
+
+
+DENOMINATORS = (1, 2, 3, 5, 7)
+rationals = st.builds(Fraction, st.integers(-3, 3),
+                       st.sampled_from(DENOMINATORS))
+
+
+@st.composite
+def fractional_tables(draw):
+    """(I, q): an I-table with denominators from DENOMINATORS, and its
+    cobracket with one fractional term added to one row, so checks fail."""
+    d = draw(st.integers(2, 3))
+    bound = draw(st.integers(1, 5 - d))
+    rows = {}
+    for m in monomials(d, bound):
+        mat = SkewMatrix.from_upper(d, {
+            (i, j): draw(rationals)
+            for i in range(d) for j in range(i + 1, d)})
+        if not mat.is_zero():
+            rows[m] = mat
+    I = ITable(d=d, domain_degree_bound=bound, rows=rows)
+    q = make_copoisson(I)
+    m, u, v = (draw(st.sampled_from(monomials(d, bound))) for _ in range(3))
+    c = Fraction(draw(st.integers(1, 3)), draw(st.sampled_from(DENOMINATORS)))
+    q.assignments[m] = q(m) + Tensor2.from_pair(u, v, c)
+    return I, q
+
+
+def co_side_reports(q, I):
+    N = q.domain_degree_bound
+    reports = [check_skew(q, N), check_counit_kill(q, N),
+               check_delta_derivation(q, N), check_antipode_coanti(q, N),
+               check_cojacobi_coeffs(I, N - 1)]
+    reports += [check_coleibniz(q, N, form) for form in COLEIBNIZ_FORMS]
+    top = cojacobi_affordable_degree(q)
+    if top >= 0:
+        reports.append(check_cojacobi(q, top))
+    return [r.to_dict() for r in reports]
+
+
+def fractions_only(t):
+    return all(type(c) is Fraction for c in t.terms.values())
+
+
+@settings(deadline=None, max_examples=30)
+@given(fractional_tables())
+def test_scaled_checks_match_unscaled_arithmetic(tables):
+    I, q = tables
+    scaled = co_side_reports(q, I)
+    assert scaled == co_side_reports(
+        UnscaledQ(q.d, q.domain_degree_bound, q.assignments),
+        UnscaledI(I.d, I.domain_degree_bound, I.rows))
+    assert not scaled[0]["passed"]  # the added term u (x) v is never skew
+    # no int leaks into the public tables
+    q0 = make_copoisson(I)
+    assert q0 == make_copoisson(
+        UnscaledI(I.d, I.domain_degree_bound, I.rows))
+    assert all(fractions_only(t) for t in q0.assignments.values())
+    for m in monomials(I.d, I.domain_degree_bound):
+        assert fractions_only(q_from_i(I, m))
+        assert fractions_only(i_from_q(q, m))
+
+
+def test_scaled_tables():
+    x, y = mono(1, 0), mono(0, 1)
+    q = QMap(d=2, domain_degree_bound=1, assignments={
+        x: Tensor2({(x, y): Fraction(1, 6), (y, x): Fraction(-3, 4)})})
+    qs, D = q.scaled()
+    assert D == 12
+    assert qs(x).terms == {(x, y): 2, (y, x): -9}
+    assert all(type(c) is int for c in qs(x).terms.values())
+    assert QMap(d=2, domain_degree_bound=1).scaled()[1] == 1
+    I = ITable(d=2, domain_degree_bound=1, rows={
+        x: SkewMatrix.from_upper(2, {(0, 1): Fraction(2, 5)})})
+    Is, D = I.scaled()
+    assert D == 5 and Is.matrix(x).entries == ((0, 2), (-2, 0))
+    assert ITable(d=2, domain_degree_bound=1).scaled()[1] == 1

@@ -2,8 +2,10 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from copoisson.algebra import Monomial, Poly
+from copoisson.algebra import Monomial, Poly, format_monomial
+from copoisson.fileformat import SpecFormatError, parse_monomial
 from copoisson.parser import MAX_NESTING, ParseError, parse_poly
 
 
@@ -119,3 +121,48 @@ def test_nesting_limit():
     with pytest.raises(ParseError, match="nested deeper") as exc:
         parse_poly(over, VARS2)
     assert exc.value.column == MAX_NESTING + 1
+
+
+NAMES = st.lists(st.from_regex(r"[A-Za-z_][A-Za-z_0-9]{0,3}", fullmatch=True),
+                 min_size=1, max_size=4, unique=True)
+
+
+@settings(deadline=None)
+@given(NAMES, st.data())
+def test_monomial_format_roundtrip(names, data):
+    m = Monomial(data.draw(st.lists(st.integers(0, 12), min_size=len(names),
+                                    max_size=len(names))))
+    assert parse_monomial(format_monomial(m, names), names) == m
+
+
+def monomial_via_parse_poly(s, variables, where=""):
+    """The monomial reader as it was before the direct path: parse_poly."""
+    try:
+        p = parse_poly(s, variables)
+    except ParseError as e:
+        raise SpecFormatError(f"bad monomial {s!r}{where}: {e}") from None
+    items = list(p.terms.items())
+    if len(items) != 1 or items[0][1] != 1:
+        raise SpecFormatError(
+            f"expected a single monomial with coefficient 1{where}, got {s!r}")
+    return items[0][0]
+
+
+@pytest.mark.parametrize("text", [
+    "1", "x1", "x2^3", "x1*x2^2", "x2*x1", "x1*x1", "x1^0", "x1^02",
+    "x1^1*x2", " x1", "x1 * x2", "(x1)", "1*x1", "2/2*x1", "x1^2^3",
+    "", "*", "x1*", "x1**x2", "x1^", "x1^-1", "x1^1/2", "x1x2", "y",
+    "2", "0", "-x1", "x1+x2", "x1 @ x2", "x1^(2)", "1*1", "x1*1",
+    "a*2", "a^2",
+])
+@pytest.mark.parametrize("names", [["x1", "x2"], ["a", "2"]])
+def test_monomial_reader_matches_parse_poly(text, names):
+    # a variable named "2" is never read as a name, by either route
+    try:
+        want = monomial_via_parse_poly(text, names, " (row 1)")
+    except SpecFormatError as e:
+        with pytest.raises(SpecFormatError) as got:
+            parse_monomial(text, names, " (row 1)")
+        assert str(got.value) == str(e)
+    else:
+        assert parse_monomial(text, names, " (row 1)") == want
