@@ -1,3 +1,5 @@
+import hashlib
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -357,3 +359,46 @@ def test_s3_poisson_basis_satisfies_leibniz():
                         H.mul_vec(e(a), bracket_eval(H, br, e(b), e(c))),
                         H.mul_vec(bracket_eval(H, br, e(a), e(c)), e(b))))
                 assert lhs == rhs
+
+
+def rescaled(H, c):
+    """H on the basis f_i = c_i e_i: every structure constant moves."""
+    r = range(H.dim)
+    return FinHopf.create(
+        dim=H.dim, basis_names=[f"f{i}" for i in r],
+        mult=[[[c[i] * c[j] / c[k] * H.mult[i][j][k] for k in r] for j in r]
+              for i in r],
+        unit=[H.unit[i] / c[i] for i in r],
+        comult=[[[c[i] / (c[j] * c[k]) * H.comult[i][j][k] for k in r]
+                 for j in r] for i in r],
+        counit=[c[i] * H.counit[i] for i in r],
+        antipode=[[c[i] / c[j] * H.antipode[i][j] for j in r] for i in r])
+
+
+def test_classifier_output_is_pinned():
+    """sha256 over the family dimension, basis values and types, and the
+    residual coefficients of all four solver variants on H4, k[Z2], k[S3]
+    and six rescaled bases of H4."""
+    rnd = random.Random(8)
+    H = sweedler_h4()
+    carriers = [H, group_algebra_z2(), group_algebra_s3()] + [
+        rescaled(H, [Fraction(rnd.choice([-3, -2, -1, 1, 2, 3]),
+                              rnd.randint(1, 4)) for _ in range(H.dim)])
+        for _ in range(6)]
+    digest = hashlib.sha256()
+    dims = []
+    for C in carriers:
+        for solve, kind in ((solve_poisson_family, "jacobi"),
+                            (solve_copoisson_family, "cojacobi")):
+            for hopf in (False, True):
+                fam = solve(C, hopf_compat=hopf)
+                res = quadratic_residual_family(fam, kind, C)
+                dims.append(fam.dimension)
+                digest.update(repr((
+                    fam.dimension, fam.basis,
+                    [type(v).__name__ for b in fam.basis for v in b],
+                    res.dim, res.length, list(res.coeffs),
+                    sorted(res.coeffs.items()))).encode())
+    assert dims == [2, 0, 2, 0, 0, 0, 0, 0, 1, 0, 0, 0] + [2, 0, 2, 0] * 6
+    assert digest.hexdigest() == (
+        "a14bd74336a9a7e7576f601a30fdcc6ab7f20a8c165b8b2fae6bcb06a85ab871")
