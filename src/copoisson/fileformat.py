@@ -57,12 +57,15 @@ def parse_monomial(s, variables, where=""):
     if isinstance(s, str):
         index = {name: i for i, name in enumerate(variables)}
         exps = [0] * len(variables)
-        for f in map(_FACTOR_RE.fullmatch, s.split("*")):
-            if f is None or f[1] not in index:
-                break
-            exps[index[f[1]]] += int(f[2] or 1)
-        else:
-            return Monomial(exps)
+        try:
+            for f in map(_FACTOR_RE.fullmatch, s.split("*")):
+                if f is None or f[1] not in index:
+                    break
+                exps[index[f[1]]] += int(f[2] or 1)
+            else:
+                return Monomial(exps)
+        except ValueError:
+            pass  # an exponent past int()'s digit limit; parse_poly reports it
     try:
         p = parse_poly(s, variables)
     except ParseError as e:

@@ -36,6 +36,15 @@ _TOKEN_RE = re.compile(
     r"|(?P<op>[-+*^()]))")
 
 
+def _integer(text, col):
+    """int(text), with a literal past int()'s digit limit reported as a
+    ParseError rather than int()'s own ValueError."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError("integer literal too long", col) from None
+
+
 def _tokenize(src):
     tokens = []
     pos = 0
@@ -52,11 +61,12 @@ def _tokenize(src):
         text = m.group(kind)
         if kind == "rat":
             num, den = (part.strip() for part in text.split("/"))
-            if int(den) == 0:
+            num, den = _integer(num, col), _integer(den, col)
+            if den == 0:
                 raise ParseError("zero denominator", col)
-            tokens.append(("num", Fraction(int(num), int(den)), col))
+            tokens.append(("num", Fraction(num, den), col))
         elif kind == "int":
-            tokens.append(("num", Fraction(int(text)), col))
+            tokens.append(("num", Fraction(_integer(text, col)), col))
         elif kind == "name":
             tokens.append(("name", text, col))
         else:
