@@ -47,8 +47,9 @@ def parse_rational(s, where=""):
     return v
 
 
-# a factor as format_monomial writes it: name or name^k
-_FACTOR_RE = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)(?:\^([0-9]+))?")
+# a factor as format_monomial writes it: name or name^k; a longer exponent
+# than int() always converts (640 digits at least) is left to parse_poly
+_FACTOR_RE = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)(?:\^([0-9]{1,600}))?")
 
 
 def parse_monomial(s, variables, where=""):
@@ -57,15 +58,12 @@ def parse_monomial(s, variables, where=""):
     if isinstance(s, str):
         index = {name: i for i, name in enumerate(variables)}
         exps = [0] * len(variables)
-        try:
-            for f in map(_FACTOR_RE.fullmatch, s.split("*")):
-                if f is None or f[1] not in index:
-                    break
-                exps[index[f[1]]] += int(f[2] or 1)
-            else:
-                return Monomial(exps)
-        except ValueError:
-            pass  # an exponent past int()'s digit limit; parse_poly reports it
+        for f in map(_FACTOR_RE.fullmatch, s.split("*")):
+            if f is None or f[1] not in index:
+                break
+            exps[index[f[1]]] += int(f[2] or 1)
+        else:
+            return Monomial(exps)
     try:
         p = parse_poly(s, variables)
     except ParseError as e:

@@ -36,15 +36,6 @@ _TOKEN_RE = re.compile(
     r"|(?P<op>[-+*^()]))")
 
 
-def _integer(text, col):
-    """int(text), with a literal past int()'s digit limit reported as a
-    ParseError rather than int()'s own ValueError."""
-    try:
-        return int(text)
-    except ValueError:
-        raise ParseError("integer literal too long", col) from None
-
-
 def _tokenize(src):
     tokens = []
     pos = 0
@@ -59,14 +50,15 @@ def _tokenize(src):
         col = m.start(m.lastgroup) + 1
         kind = m.lastgroup
         text = m.group(kind)
-        if kind == "rat":
-            num, den = (part.strip() for part in text.split("/"))
-            num, den = _integer(num, col), _integer(den, col)
+        if kind in ("rat", "int"):
+            try:
+                num, den = (map(int, text.split("/")) if kind == "rat"
+                            else (int(text), 1))
+            except ValueError:  # more digits than int() converts
+                raise ParseError("integer literal too long", col) from None
             if den == 0:
                 raise ParseError("zero denominator", col)
             tokens.append(("num", Fraction(num, den), col))
-        elif kind == "int":
-            tokens.append(("num", Fraction(_integer(text, col)), col))
         elif kind == "name":
             tokens.append(("name", text, col))
         else:
