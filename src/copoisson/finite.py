@@ -12,8 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
-from .algebra import bump
+from .algebra import axpy, bump
 
 
 # --- exact rational linear algebra ---------------------------------------
@@ -82,7 +84,7 @@ class HopfAxiomError(ValueError):
     """A structure-constant tensor violates a Hopf axiom."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class FinHopf:
     """A finite-dimensional Hopf algebra given by structure-constant tensors.
 
@@ -90,6 +92,10 @@ class FinHopf:
     comult[i][j][k]: coefficient of e_j (x) e_k in Delta(e_i)
     antipode[i][j]: coefficient of e_j in S(e_i)
     All five Hopf axioms are validated exactly at construction.
+
+    mult_nz[(i, j)] = ((k, coeff), ...) and comult_nz[i] = {(j, k): coeff}
+    hold the nonzero entries of mult and comult; the class is frozen so
+    that these views, derived once, cannot go stale.
     """
 
     dim: int
@@ -99,6 +105,17 @@ class FinHopf:
     comult: tuple
     counit: tuple
     antipode: tuple
+    mult_nz: dict = field(init=False, compare=False, repr=False)
+    comult_nz: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        r = range(self.dim)
+        object.__setattr__(self, "mult_nz", {
+            (i, j): tuple((k, w) for k, w in enumerate(self.mult[i][j]) if w)
+            for i in r for j in r})
+        object.__setattr__(self, "comult_nz", tuple(
+            {(j, k): w for j in r for k, w in enumerate(self.comult[i][j]) if w}
+            for i in r))
 
     @classmethod
     def create(cls, dim, basis_names, mult, unit, comult, counit, antipode):
@@ -123,18 +140,12 @@ class FinHopf:
                      for j in range(self.dim))
 
     def mul_vec(self, u, v):
-        n = self.dim
-        out = [Fraction(0)] * n
-        for i in range(n):
-            if not u[i]:
-                continue
-            for j in range(n):
-                if not v[j]:
-                    continue
-                c = u[i] * v[j]
-                for k in range(n):
-                    if self.mult[i][j][k]:
-                        out[k] += c * self.mult[i][j][k]
+        out = [Fraction(0)] * self.dim
+        for (i, j), prod in self.mult_nz.items():
+            c = u[i] * v[j]
+            if c:
+                for k, w in prod:
+                    out[k] += c * w
         return tuple(out)
 
     def counit_vec(self, u):
@@ -151,71 +162,71 @@ class FinHopf:
         return tuple(out)
 
     def validate(self):
-        n = self.dim
-        e = self.basis_vec
-        one = self.unit
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    lhs = self.mul_vec(self.mul_vec(e(i), e(j)), e(k))
-                    rhs = self.mul_vec(e(i), self.mul_vec(e(j), e(k)))
-                    if lhs != rhs:
+        r = range(self.dim)
+        M, D = self.mult_nz, self.comult_nz
+
+        def mul(u, v):
+            """Product of sparse vectors {basis index: coeff}."""
+            out = {}
+            for i, a in u.items():
+                for j, b in v.items():
+                    for k, w in M[(i, j)]:
+                        bump(out, k, a * b * w)
+            return out
+
+        def e(i):
+            return {i: 1}
+
+        one = {i: w for i, w in enumerate(self.unit) if w}
+        for i in r:
+            for j in r:
+                for k in r:
+                    if mul(mul(e(i), e(j)), e(k)) != mul(e(i), mul(e(j), e(k))):
                         raise HopfAxiomError(
                             f"associativity fails on basis ({i},{j},{k})")
-        for i in range(n):
-            if self.mul_vec(one, e(i)) != e(i) or self.mul_vec(e(i), one) != e(i):
+        for i in r:
+            if mul(one, e(i)) != e(i) or mul(e(i), one) != e(i):
                 raise HopfAxiomError(f"unit axiom fails on basis {i}")
-        for i in range(n):
+        for i in r:
             lhs = {}
             rhs = {}
-            for (a, b), w in comult_indexed(self, i).items():
-                for (a1, a2), w2 in comult_indexed(self, a).items():
+            for (a, b), w in D[i].items():
+                for (a1, a2), w2 in D[a].items():
                     bump(lhs, (a1, a2, b), w * w2)
-                for (b1, b2), w2 in comult_indexed(self, b).items():
+                for (b1, b2), w2 in D[b].items():
                     bump(rhs, (a, b1, b2), w * w2)
             if lhs != rhs:
                 raise HopfAxiomError(f"coassociativity fails on basis {i}")
-        for i in range(n):
-            left = [Fraction(0)] * n
-            right = [Fraction(0)] * n
-            for (a, b), w in comult_indexed(self, i).items():
-                for k in range(n):
-                    left[k] += w * self.counit[a] * e(b)[k]
-                    right[k] += w * self.counit[b] * e(a)[k]
-            if tuple(left) != e(i) or tuple(right) != e(i):
+        for i in r:
+            left = {}
+            right = {}
+            for (a, b), w in D[i].items():
+                bump(left, b, w * self.counit[a])
+                bump(right, a, w * self.counit[b])
+            if left != e(i) or right != e(i):
                 raise HopfAxiomError(f"counit axiom fails on basis {i}")
-        for i in range(n):
-            left = [Fraction(0)] * n
-            right = [Fraction(0)] * n
-            for (a, b), w in comult_indexed(self, i).items():
-                sa = self.antipode_vec(e(a))
-                sb = self.antipode_vec(e(b))
-                va = self.mul_vec(sa, e(b))
-                vb = self.mul_vec(e(a), sb)
-                for k in range(n):
-                    left[k] += w * va[k]
-                    right[k] += w * vb[k]
-            want = tuple(self.counit[i] * one[k] for k in range(n))
-            if tuple(left) != want or tuple(right) != want:
+        S = [{j: s for j, s in enumerate(row) if s} for row in self.antipode]
+        for i in r:
+            left = {}
+            right = {}
+            for (a, b), w in D[i].items():
+                axpy(left, mul(S[a], e(b)), w)
+                axpy(right, mul(e(a), S[b]), w)
+            want = {k: c for k, u in one.items() if (c := self.counit[i] * u)}
+            if left != want or right != want:
                 raise HopfAxiomError(f"antipode axiom fails on basis {i}")
 
 
 def comult_indexed(H, i):
-    """Nonzero entries of Delta(e_i) as {(j, k): coeff}."""
-    out = {}
-    for j in range(H.dim):
-        for k in range(H.dim):
-            w = H.comult[i][j][k]
-            if w:
-                out[(j, k)] = w
-    return out
+    """Nonzero entries of Delta(e_i) as {(j, k): coeff}, in a new dict."""
+    return dict(H.comult_nz[i])
 
 
 def comult2_indexed(H, i):
     """Delta^(2)(e_i) as {(a, b, c): coeff}."""
     out = {}
-    for (a, b), w in comult_indexed(H, i).items():
-        for (a1, a2), w2 in comult_indexed(H, a).items():
+    for (a, b), w in H.comult_nz[i].items():
+        for (a1, a2), w2 in H.comult_nz[a].items():
             bump(out, (a1, a2, b), w * w2)
     return out
 
@@ -224,7 +235,7 @@ def comult3_indexed(H, i):
     """Delta^(3)(e_i) as {(a, b, c, d): coeff}."""
     out = {}
     for (a, b, c), w in comult2_indexed(H, i).items():
-        for (a1, a2), w2 in comult_indexed(H, a).items():
+        for (a1, a2), w2 in H.comult_nz[a].items():
             bump(out, (a1, a2, b, c), w * w2)
     return out
 
@@ -232,7 +243,7 @@ def comult3_indexed(H, i):
 def cocommutator_vec(H, i):
     """Delta'(e_i) = Delta(e_i) - t2 Delta(e_i) as {(j, k): coeff}."""
     out = {}
-    for (j, k), w in comult_indexed(H, i).items():
+    for (j, k), w in H.comult_nz[i].items():
         bump(out, (j, k), w)
         bump(out, (k, j), -w)
     return out
@@ -394,17 +405,14 @@ def solve_poisson_family(H, hopf_compat=False):
         for b in range(n):
             for c in range(n):
                 acc = {k: {} for k in range(n)}
-                for k in range(n):
-                    w = H.mult[a][b][k]
-                    if w:
-                        for m in range(n):
-                            bracket(acc, m, k, c, m, w)
-                for k in range(n):
+                for k, w in H.mult_nz[(a, b)]:
                     for m in range(n):
-                        if H.mult[a][k][m]:
-                            bracket(acc, m, b, c, k, -H.mult[a][k][m])
-                        if H.mult[k][b][m]:
-                            bracket(acc, m, a, c, k, -H.mult[k][b][m])
+                        bracket(acc, m, k, c, m, w)
+                for k in range(n):
+                    for m, w in H.mult_nz[(a, k)]:
+                        bracket(acc, m, b, c, k, -w)
+                    for m, w in H.mult_nz[(k, b)]:
+                        bracket(acc, m, a, c, k, -w)
                 _emit(rows, acc)
     if hopf_compat:
         for a in range(n):
@@ -412,22 +420,18 @@ def solve_poisson_family(H, hopf_compat=False):
                 acc = {}
                 # Delta({a,b})
                 for k in range(n):
-                    for (m1, m2), w in comult_indexed(H, k).items():
+                    for (m1, m2), w in H.comult_nz[k].items():
                         bracket(acc, (m1, m2), a, b, k, w)
                 # -sum {a1,b1}(x)a2b2 - a1b1(x){a2,b2}
-                for (a1, a2), wa in comult_indexed(H, a).items():
-                    for (b1, b2), wb in comult_indexed(H, b).items():
+                for (a1, a2), wa in H.comult_nz[a].items():
+                    for (b1, b2), wb in H.comult_nz[b].items():
                         w = wa * wb
-                        for m1 in range(n):
-                            for m2 in range(n):
-                                if H.mult[a2][b2][m2]:
-                                    bracket(acc, (m1, m2), a1, b1, m1,
-                                            -w * H.mult[a2][b2][m2])
-                        for m2 in range(n):
+                        for m2, c in H.mult_nz[(a2, b2)]:
                             for m1 in range(n):
-                                if H.mult[a1][b1][m1]:
-                                    bracket(acc, (m1, m2), a2, b2, m2,
-                                            -w * H.mult[a1][b1][m1])
+                                bracket(acc, (m1, m2), a1, b1, m1, -w * c)
+                        for m1, c in H.mult_nz[(a1, b1)]:
+                            for m2 in range(n):
+                                bracket(acc, (m1, m2), a2, b2, m2, -w * c)
                 _emit(rows, acc)
     return _solve(rows, poisson_unknown_count(H))
 
@@ -531,9 +535,9 @@ def solve_copoisson_family(H, hopf_compat=False):
         for j in range(n):
             for k in range(n):
                 u = _q_u(H, c, j, k)
-                for (m1, m2), w in comult_indexed(H, j).items():
+                for (m1, m2), w in H.comult_nz[j].items():
                     add(acc, (m1, m2, k), u, w)
-        for (a, b), w in comult_indexed(H, c).items():
+        for (a, b), w in H.comult_nz[c].items():
             for m2 in range(n):
                 for m3 in range(n):
                     add(acc, (a, m2, m3), _q_u(H, b, m2, m3), -w)
@@ -549,36 +553,24 @@ def solve_copoisson_family(H, hopf_compat=False):
         for a in range(n):
             for b in range(n):
                 acc = {}
-                for k in range(n):
-                    w = H.mult[a][b][k]
-                    if w:
-                        for j in range(n):
+                for k, w in H.mult_nz[(a, b)]:
+                    for j in range(n):
+                        for l in range(n):
+                            add(acc, (j, l), _q_u(H, k, j, l), w)
+                for (b1, b2), wb in H.comult_nz[b].items():
+                    for j in range(n):
+                        for m1, c1 in H.mult_nz[(j, b1)]:
                             for l in range(n):
-                                add(acc, (j, l), _q_u(H, k, j, l), w)
-                for (b1, b2), wb in comult_indexed(H, b).items():
+                                for m2, c2 in H.mult_nz[(l, b2)]:
+                                    add(acc, (m1, m2), _q_u(H, a, j, l),
+                                        -wb * c1 * c2)
+                for (a1, a2), wa in H.comult_nz[a].items():
                     for j in range(n):
-                        for l in range(n):
-                            for m1 in range(n):
-                                c1 = H.mult[j][b1][m1]
-                                if not c1:
-                                    continue
-                                for m2 in range(n):
-                                    c2 = H.mult[l][b2][m2]
-                                    if c2:
-                                        add(acc, (m1, m2), _q_u(H, a, j, l),
-                                            -wb * c1 * c2)
-                for (a1, a2), wa in comult_indexed(H, a).items():
-                    for j in range(n):
-                        for l in range(n):
-                            for m1 in range(n):
-                                c1 = H.mult[a1][j][m1]
-                                if not c1:
-                                    continue
-                                for m2 in range(n):
-                                    c2 = H.mult[a2][l][m2]
-                                    if c2:
-                                        add(acc, (m1, m2), _q_u(H, b, j, l),
-                                            -wa * c1 * c2)
+                        for m1, c1 in H.mult_nz[(a1, j)]:
+                            for l in range(n):
+                                for m2, c2 in H.mult_nz[(a2, l)]:
+                                    add(acc, (m1, m2), _q_u(H, b, j, l),
+                                        -wa * c1 * c2)
                 _emit(rows, acc)
     return _solve(rows, copoisson_unknown_count(H))
 
@@ -646,45 +638,80 @@ class QuadraticResidual:
         return tuple(out)
 
 
+def _bracket_table(H, vec):
+    """The nonzero brackets of vec as {(i, j): {k: coeff}}, for i < j and,
+    negated, for i > j."""
+    br = {}
+    for (i, j), val in brackets_from_vector(H, vec).items():
+        for k, v in enumerate(val):
+            if v:
+                br.setdefault((i, j), {})[k] = v
+                br.setdefault((j, i), {})[k] = -v
+    return br
+
+
+def _jacobi_bilinear(H, x, y, acc):
+    """acc += the Jacobi residual with outer bracket x and inner bracket y,
+    both as _bracket_table, in jacobi_residual's flat layout."""
+    n = H.dim
+    for t, (i, j, k) in enumerate(combinations(range(n), 3)):
+        for u, v, w in ((i, j, k), (j, k, i), (k, i, j)):
+            for p, c in y.get((u, v), {}).items():
+                for m, d in x.get((p, w), {}).items():
+                    bump(acc, t * n + m, c * d)
+
+
+def _cojacobi_bilinear(H, x, y, acc):
+    """acc += the co-Jacobi residual with outer cobracket x and inner
+    cobracket y, both as qvals_from_vector, in cojacobi_residual's layout."""
+    n = H.dim
+    for c, qc in x.items():
+        for (a, b), w in qc.items():
+            for (j, k), w2 in y.get(a, {}).items():
+                ww = w * w2
+                for l1, l2, l3 in ((j, k, b), (b, j, k), (k, b, j)):
+                    bump(acc, ((c * n + l1) * n + l2) * n + l3, ww)
+
+
 def quadratic_residual_family(fam, which, H):
     """Extract the exact quadratic residual form over a linear family.
 
-    `which` is "jacobi" or "cojacobi".  The residual is recovered by
-    probing at 0, the unit parameter vectors, and their pairwise sums,
-    which determines a homogeneous quadratic exactly.
+    `which` is "jacobi" or "cojacobi".  The residual is R(x) = Bil(x, x)
+    for a bilinear Bil, so by polarization coeffs[(i, i)] = R(b_i) and
+    coeffs[(i, j)] = Bil(b_i, b_j) + Bil(b_j, b_i) over the family basis b.
+    Bil is evaluated on the nonzero entries only.
     """
-    if which == "jacobi":
-        def residual(vec):
-            return jacobi_residual(H, brackets_from_vector(H, vec))
-    elif which == "cojacobi":
-        def residual(vec):
-            return cojacobi_residual(H, qvals_from_vector(H, vec))
-    else:
+    n = H.dim
+    kinds = {"jacobi": (_bracket_table, _jacobi_bilinear, n * comb(n, 3)),
+             "cojacobi": (qvals_from_vector, _cojacobi_bilinear, n ** 4)}
+    if which not in kinds:
         raise ValueError(f"unknown residual kind {which!r}")
+    table, bilinear, length = kinds[which]
 
-    def probe(params):
-        return residual(fam.member(params))
+    def operand(vec):
+        return table(H, [Fraction(v) for v in vec])
 
-    dim = fam.dimension
-    zero = [Fraction(0)] * dim
-    r0 = probe(zero)
-    if any(r0):
+    def form(*pairs):
+        acc = {}
+        for x, y in pairs:
+            bilinear(H, x, y, acc)
+        out = [Fraction(0)] * length
+        for m, v in acc.items():
+            out[m] = v
+        return tuple(out)
+
+    offset = operand(fam.offset)
+    if any(form((offset, offset))):
         raise ValueError("family offset has nonzero residual; "
                          "quadratic extraction assumes a homogeneous family")
-    length = len(r0)
+    dim = fam.dimension
     coeffs = {}
-    diag = {}
+    # the diagonal is R at the unit parameter vectors, offset included
     for i in range(dim):
-        p = list(zero)
-        p[i] = Fraction(1)
-        diag[i] = probe(p)
-        coeffs[(i, i)] = diag[i]
+        x = operand(fam.member([int(s == i) for s in range(dim)]))
+        coeffs[(i, i)] = form((x, x))
+    basis = [operand(b) for b in fam.basis]
     for i in range(dim):
         for j in range(i + 1, dim):
-            p = list(zero)
-            p[i] = Fraction(1)
-            p[j] = Fraction(1)
-            rij = probe(p)
-            coeffs[(i, j)] = tuple(
-                rij[m] - diag[i][m] - diag[j][m] for m in range(length))
+            coeffs[(i, j)] = form((basis[i], basis[j]), (basis[j], basis[i]))
     return QuadraticResidual(dim=dim, length=length, coeffs=coeffs)

@@ -1,7 +1,8 @@
 import hashlib
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -160,6 +161,53 @@ def test_axiom_validation_rejects_bad_tables():
         FinHopf.create(dim=4, basis_names=H.basis_names, mult=mult,
                        unit=H.unit, comult=H.comult, counit=H.counit,
                        antipode=H.antipode)
+
+
+def tweaked3(t, i, j, k, v):
+    t = [[list(row) for row in plane] for plane in t]
+    t[i][j][k] = Fraction(v)
+    return t
+
+
+@pytest.mark.parametrize("field, change, message", [
+    ("mult", lambda H: tweaked3(H.mult, 2, 2, 0, 1),
+     "associativity fails on basis (1,2,2)"),
+    ("unit", lambda H: (1, 1, 0, 0), "unit axiom fails on basis 0"),
+    ("comult", lambda H: tweaked3(H.comult, 2, 3, 3, 1),
+     "coassociativity fails on basis 2"),
+    ("counit", lambda H: (1, -1, 0, 0), "counit axiom fails on basis 1"),
+    ("antipode", lambda H: [[-v if i == j == 1 else v for j, v in enumerate(r)]
+                            for i, r in enumerate(H.antipode)],
+     "antipode axiom fails on basis 1"),
+])
+def test_validation_names_the_failing_axiom(field, change, message):
+    H = sweedler_h4()
+    tables = {f: getattr(H, f) for f in
+              ("mult", "unit", "comult", "counit", "antipode")}
+    tables[field] = change(H)
+    with pytest.raises(HopfAxiomError, match=message.replace("(", r"\(")
+                       .replace(")", r"\)")):
+        FinHopf.create(dim=4, basis_names=H.basis_names, **tables)
+
+
+@pytest.mark.parametrize("make", [
+    sweedler_h4, group_algebra_z2, lambda: group_algebra_s3()])
+def test_sparse_views_hold_the_nonzero_entries(make):
+    H = make()
+    r = range(H.dim)
+    assert set(H.mult_nz) == set(product(r, r))
+    assert {(i, j, k): w for (i, j), prod in H.mult_nz.items()
+            for k, w in prod} == {
+        (i, j, k): H.mult[i][j][k] for i, j, k in product(r, r, r)
+        if H.mult[i][j][k]}
+    for i in r:
+        dense = {(j, k): H.comult[i][j][k] for j, k in product(r, r)
+                 if H.comult[i][j][k]}
+        assert H.comult_nz[i] == dense
+        got = comult_indexed(H, i)
+        assert got == dense and got is not H.comult_nz[i]
+    with pytest.raises(FrozenInstanceError):
+        H.mult = H.mult
 
 
 def test_comult3_matches_iterated_comult():
@@ -402,3 +450,142 @@ def test_classifier_output_is_pinned():
     assert dims == [2, 0, 2, 0, 0, 0, 0, 0, 1, 0, 0, 0] + [2, 0, 2, 0] * 6
     assert digest.hexdigest() == (
         "a14bd74336a9a7e7576f601a30fdcc6ab7f20a8c165b8b2fae6bcb06a85ab871")
+
+
+def probing_residual_family(fam, which, H):
+    """The quadratic residual recovered by probing the dense residual at 0,
+    at each unit parameter vector and at each pairwise sum of them: the
+    reference for the polarized quadratic_residual_family."""
+    residual = {"jacobi": lambda v: jacobi_residual(
+                    H, brackets_from_vector(H, v)),
+                "cojacobi": lambda v: cojacobi_residual(
+                    H, qvals_from_vector(H, v))}[which]
+    dim = fam.dimension
+
+    def probe(*ones):
+        return residual(fam.member([int(s in ones) for s in range(dim)]))
+
+    r0 = probe()
+    assert not any(r0)
+    coeffs = {(i, i): probe(i) for i in range(dim)}
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            coeffs[(i, j)] = tuple(
+                a - b - c for a, b, c in zip(probe(i, j), coeffs[(i, i)],
+                                             coeffs[(j, j)]))
+    return dim, len(r0), coeffs
+
+
+def random_family(rnd, unknowns, dim, offset=()):
+    """dim sparse random vectors: a family with no structure at all."""
+    basis = []
+    for _ in range(dim):
+        v = [Fraction(0)] * unknowns
+        for u in rnd.sample(range(unknowns), min(unknowns, 6)):
+            v[u] = Fraction(rnd.randint(-3, 3), rnd.randint(1, 3))
+        basis.append(tuple(v))
+    return LinearFamily(ambient_dim=unknowns, basis=basis, offset=offset)
+
+
+def test_polarized_residual_matches_probing():
+    rnd = random.Random(11)
+    H = sweedler_h4()
+    S3 = group_algebra_s3()
+    pu, cu = 24, 64  # unknowns of the H4 Poisson and co-Poisson systems
+    # the lone bracket {e_1, e_2} = e_0 (pair 3 of 6, coordinate 0) has zero
+    # Jacobi residual, but its cross terms with the members do not vanish
+    lone = tuple(Fraction(int(u == 3 * 4 + 0)) for u in range(pu))
+    cases = [
+        (solve_poisson_family(H), "jacobi", H, True),
+        (solve_copoisson_family(H), "cojacobi", H, True),
+        (random_family(rnd, pu, 3), "jacobi", H, False),
+        (random_family(rnd, pu, 2, offset=lone), "jacobi", H, False),
+        (random_family(rnd, cu, 3), "cojacobi", H, False),
+        (random_family(rnd, 6 * 15, 2), "jacobi", S3, False),
+        (random_family(rnd, 6 ** 3, 2), "cojacobi", S3, False),
+    ]
+    for fam, which, C, zero in cases:
+        got = quadratic_residual_family(fam, which, C)
+        want = probing_residual_family(fam, which, C)
+        assert got.is_zero() == zero
+        assert (got.dim, got.length, got.coeffs) == want
+        assert list(got.coeffs) == list(want[2])
+        assert all(type(v) is Fraction
+                   for vec in got.coeffs.values() for v in vec)
+
+
+@pytest.mark.parametrize("which", ["jacobi", "cojacobi"])
+def test_offset_with_nonzero_residual_is_refused(which):
+    H = sweedler_h4()
+    fam = random_family(random.Random(5), 24 if which == "jacobi" else 64, 1)
+    offset = fam.basis[0]
+    residual = (jacobi_residual(H, brackets_from_vector(H, offset))
+                if which == "jacobi" else
+                cojacobi_residual(H, qvals_from_vector(H, offset)))
+    assert any(residual)
+    shifted = LinearFamily(ambient_dim=fam.ambient_dim, basis=fam.basis,
+                           offset=offset)
+    with pytest.raises(ValueError, match="offset has nonzero residual"):
+        quadratic_residual_family(shifted, which, H)
+
+
+def dense_hopf_rows(H, structure):
+    """The Hopf-compatibility rows of either solver, built from the dense
+    tensors by scanning every index: the reference for the solvers' sparse
+    Hopf branches."""
+    n = H.dim
+    r = range(n)
+    M, D = H.mult, H.comult
+    rows = []
+    if structure == "poisson":
+        pairs = [(i, j) for i in r for j in r if i < j]
+
+        def add(row, i, j, k, w):  # row += w * (e_k component of {e_i, e_j})
+            if i != j and w:
+                u = pairs.index((min(i, j), max(i, j))) * n + k
+                row[u] = row.get(u, 0) + (w if i < j else -w)
+
+        for a, b, m1, m2 in product(r, r, r, r):
+            row = {}
+            for k in r:
+                add(row, a, b, k, D[k][m1][m2])
+            for a1, a2, b1, b2 in product(r, r, r, r):
+                w = D[a][a1][a2] * D[b][b1][b2]
+                add(row, a1, b1, m1, -w * M[a2][b2][m2])
+                add(row, a2, b2, m2, -w * M[a1][b1][m1])
+            rows.append(row)
+    else:
+        def q(i, j, k):
+            return (i * n + j) * n + k
+
+        for a, b, m1, m2 in product(r, r, r, r):
+            row = {}
+            for k in r:
+                row[q(k, m1, m2)] = M[a][b][k]
+            for j, l, c1, c2 in product(r, r, r, r):
+                row[q(a, j, l)] = row.get(q(a, j, l), 0) - (
+                    D[b][c1][c2] * M[j][c1][m1] * M[l][c2][m2])
+                row[q(b, j, l)] = row.get(q(b, j, l), 0) - (
+                    D[a][c1][c2] * M[c1][j][m1] * M[c2][l][m2])
+            rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("structure", ["poisson", "copoisson"])
+def test_sparse_hopf_rows_match_the_dense_scan(monkeypatch, structure):
+    import copoisson.finite as finite
+    solve = {"poisson": solve_poisson_family,
+             "copoisson": solve_copoisson_family}[structure]
+    captured = []
+    monkeypatch.setattr(finite, "_solve",
+                        lambda rows, U: captured.append((list(rows), U)))
+    H = rescaled(sweedler_h4(), [Fraction(2), Fraction(-1, 3), Fraction(3),
+                                 Fraction(1, 2)])
+    solve(H)
+    solve(H, hopf_compat=True)
+    (base, U), (full, _) = captured
+    assert full[:len(base)] == base
+    # the Hopf rows alone leave a nontrivial solution space, so a wrong
+    # index in them shows up as a different nullspace
+    sparse = nullspace(full[len(base):], U)
+    assert sparse and sparse == nullspace(dense_hopf_rows(H, structure), U)
