@@ -3,9 +3,9 @@ linear/quadratic classifier for their (co)Poisson structures.
 
 The classifier is a two-stage pipeline: an exact rational nullspace solve
 of the linear constraints (skew, Leibniz or co-Leibniz, optional Hopf
-compatibility), followed by probing the quadratic Jacobi/co-Jacobi
-residual on the solved family.  Quadratic constraints never enter the
-linear solver.
+compatibility), then the quadratic Jacobi/co-Jacobi residual over the
+solved family by polarization.  Quadratic constraints never enter the
+linear solver.  Both stages visit only the nonzero structure constants.
 """
 
 from __future__ import annotations
