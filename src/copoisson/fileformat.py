@@ -291,13 +291,13 @@ def load_spec(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise SpecFormatError(f"{path}: invalid JSON: {e}") from None
     except OSError as e:
         raise SpecFormatError(
             f"{path}: cannot read: {e.strerror or e}") from None
     except UnicodeDecodeError as e:
         raise SpecFormatError(f"{path}: not UTF-8 text: {e}") from None
+    except ValueError as e:  # bad syntax, or an integer past int()'s limit
+        raise SpecFormatError(f"{path}: invalid JSON: {e}") from None
     return spec_from_dict(doc)
 
 

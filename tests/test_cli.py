@@ -143,21 +143,27 @@ def test_deeply_nested_expression_exits_3(tmp_path, capsys):
     assert "nested deeper" in err and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("doc", [
-    {"kind": "poisson", "variables": ["x1", "x2"], "max_degree": 2,
-     "payload": {"brackets": {"1,2": "x1^" + "9" * 5000},
-                 "mode": "polynomial"}},
-    {"kind": "copoisson", "variables": ["x1", "x2"], "max_degree": 2,
-     "payload": {"rows": [{"monomial": "x2^" + "1" * 5000,
-                           "lambda": [[1, 2, "1"]]}]}},
+@pytest.mark.parametrize("text, message", [
+    (dump_json({"kind": "poisson", "variables": ["x1", "x2"], "max_degree": 2,
+                "payload": {"brackets": {"1,2": "x1^" + "9" * 5000},
+                            "mode": "polynomial"}}),
+     "integer literal too long"),
+    (dump_json({"kind": "copoisson", "variables": ["x1", "x2"],
+                "max_degree": 2,
+                "payload": {"rows": [{"monomial": "x2^" + "1" * 5000,
+                                      "lambda": [[1, 2, "1"]]}]}}),
+     "integer literal too long"),
+    ('{"kind": "poisson", "variables": ["x1"], "max_degree": ' + "9" * 5000
+     + ', "payload": {"brackets": {}}}', "invalid JSON"),
 ])
-def test_integer_past_the_digit_limit_exits_3(tmp_path, capsys, doc):
+def test_integer_past_the_digit_limit_exits_3(tmp_path, capsys, text,
+                                              message):
     # int() refuses strings of more than 4300 digits with a ValueError
     p = tmp_path / "long.json"
-    p.write_text(dump_json(doc))
-    code, text, err = run_stderr(["check", str(p)], capsys)
-    assert (code, text) == (3, "")
-    assert "integer literal too long" in err and err.count("\n") == 1
+    p.write_text(text)
+    code, out, err = run_stderr(["check", str(p)], capsys)
+    assert (code, out) == (3, "")
+    assert message in err and err.count("\n") == 1
 
 
 def test_bound_error_exit_code():
