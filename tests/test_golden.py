@@ -77,6 +77,14 @@ GOLDEN = [
      0, "b818116b768f53f65bb5f39686e49c5dd2fa7edb8e6f06b9dce7432dda83aa1a"),
     (["relations", "--dim", "4"],
      0, "0cadddc3899d8dfd2e1ed1e5a58dcde3c0b0a5d3142d8e634e21b507742b03a7"),
+    (["relations", "--dim", "4", "--format", "json"],
+     0, "da7854513aac3f36f9da7ce9b27b139dcd2b56a412cbf3a64e451e9ac5b3f413"),
+    # so(3) plus lambda[2,3]_3 = 1: not a Lie algebra, so both the Jacobi
+    # identity and the structure-constant relations have witnesses
+    (["check", "nonlie_d3.json", "--format", "json"],
+     1, "073b12278a1188247aedfba6559a322a99ccbd1be8eff847223df2c61f02f969"),
+    (["check", "nonlie_d3.json", "--format", "text"],
+     1, "943f6fa5857d54876ac23d3a8e58921db6db805229393e635035bdc747a596c8"),
     # fractional co-side witnesses: skew, counit-kill, co-Leibniz and
     # co-Jacobi residuals of a qmap, and co-Jacobi in both forms of an I-table
     (["check", "qmap_fractional.json", "--format", "json"],
