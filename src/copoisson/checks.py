@@ -5,14 +5,15 @@ all of A.  Witness enumeration is graded-lex so reports are reproducible;
 witness lists are capped with a total-violation count.
 
 The co-side checks run on D q (or D I), the int-valued copy that
-`scaled()` returns; a witness residual is divided back by D, or by D^2 for
-co-Jacobi, which is quadratic in the table.
+`scaled()` returns; `_scaled_check` divides a witness residual back by D,
+or by D^2 for co-Jacobi, which is quadratic in the table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations, product
 
 from .algebra import (
     DegreeBoundError,
@@ -95,68 +96,91 @@ class _Collector:
         if len(self.witnesses) < WITNESS_CAP:
             self.witnesses.append((description, residual))
 
-    def report(self, note=""):
+    def report(self):
         return CheckReport(
             check_name=self.name,
             passed=self.count == 0,
             degree_checked=self.degree,
             witnesses=self.witnesses,
             total_violations=self.count,
-            note=note,
         )
 
 
-def _require_bound(value, bound, what):
-    if value > bound:
-        raise DegreeBoundError(
-            f"{what} requires table bound >= {value}, have {bound}")
+def _pairs(d, N):
+    """The monomial pairs |a| + |b| <= N in graded-lex order, each unordered
+    pair once (the identities checked on pairs are symmetric in a, b)."""
+    for a in monomials(d, N):
+        for b in monomials(d, N - a.degree):
+            if grlex_key(b) >= grlex_key(a):
+                yield a, b
+
+
+def _format_pair(ab):
+    return f"({format_monomial(ab[0])}, {format_monomial(ab[1])})"
+
+
+def _one_based(indices):
+    return "(" + ",".join(str(i + 1) for i in indices) + ")"
+
+
+def _scaled_check(name, table, N, residual, power=1, need=None,
+                  domain=monomials, describe=format_monomial,
+                  render=format_tensor):
+    """The witnesses of one co-side identity, run on the int-scaled table.
+
+    residual(t, key) is the identity's residual on t = D * table at each
+    key of domain(d, N); it is homogeneous of degree `power` in t, so a
+    witness is the residual divided by D**power.  `need` (default N) is the
+    table bound the check reads; a DegreeBoundError names check_<name>.
+    """
+    need = N if need is None else need
+    if need > table.domain_degree_bound:
+        what = "check_" + name.partition("[")[0].replace("-", "_")
+        raise DegreeBoundError(f"{what} requires table bound >= {need}, "
+                               f"have {table.domain_degree_bound}")
+    t, D = table.scaled()
+    col = _Collector(name, N)
+    for key in domain(t.d, N):
+        res = residual(t, key)
+        if res:
+            col.violation(describe(key), render(res / Fraction(D ** power)))
+    return col.report()
 
 
 def check_skew(q, N):
     """(1 + t2) q(a) = 0 for all monomials |a| <= N."""
-    _require_bound(N, q.domain_degree_bound, "check_skew")
-    q, D = q.scaled()
-    col = _Collector("skew", N)
-    for m in monomials(q.d, N):
-        v = q(m)
-        res = v + t2_swap(v)
-        if res:
-            col.violation(format_monomial(m), format_tensor(res / D))
-    return col.report()
+    def residual(t, m):
+        v = t(m)
+        return v + t2_swap(v)
+    return _scaled_check("skew", q, N, residual)
 
 
 def cojacobi_required_bound(q, N):
     """Largest q-argument degree needed by (q (x) 1) q on monomials <= N."""
     need = N
     for m in monomials(q.d, N):
-        v = q(m)
-        if v:
-            need = max(need, q_outer_left_degree(v))
+        need = max(need, q_outer_left_degree(q(m)))
     return need
 
 
 def cojacobi_affordable_degree(q):
-    """Largest N <= bound at which the co-Jacobi check can run on this table."""
-    best = -1
-    for N in range(q.domain_degree_bound + 1):
-        if cojacobi_required_bound(q, N) <= q.domain_degree_bound:
-            best = N
-        else:
-            break
-    return best
+    """Largest N <= bound at which the co-Jacobi check can run on this table.
+
+    The required bound grows with N, so N stops one below the least degree
+    of a monomial whose q-value needs more than the table bound.
+    """
+    bound = q.domain_degree_bound
+    for m in monomials(q.d, bound):
+        if q_outer_left_degree(q(m)) > bound:
+            return m.degree - 1
+    return bound
 
 
 def check_cojacobi(q, N):
     """(1 + t3 + t3^2)(q (x) 1) q(a) = 0 for all |a| <= N."""
-    need = cojacobi_required_bound(q, N)
-    _require_bound(need, q.domain_degree_bound, "check_cojacobi")
-    q, D = q.scaled()
-    col = _Collector("cojacobi", N)
-    for m in monomials(q.d, N):
-        res = cyclic_sum(q_left(q(m), q))
-        if res:
-            col.violation(format_monomial(m), format_tensor(res / (D * D)))
-    return col.report()
+    return _scaled_check(
+        "cojacobi", q, N, lambda t, m: cyclic_sum(q_left(t(m), t)),
+        power=2, need=cojacobi_required_bound(q, N))
 
 
 COLEIBNIZ_FORMS = ("definition", "form1", "form2")
@@ -172,65 +196,48 @@ def check_coleibniz(q, N, form="definition"):
     """
     if form not in COLEIBNIZ_FORMS:
         raise ValueError(f"unknown co-Leibniz form {form!r}")
-    _require_bound(N, q.domain_degree_bound, "check_coleibniz")
-    q, D = q.scaled()
-    col = _Collector(f"coleibniz[{form}]", N)
-    for m in monomials(q.d, N):
+
+    def residual(t, m):
         dm = comult(m)
         if form == "definition":
-            lhs = delta_left(q(m))
-            rhs = q_right(dm, q) - t3_cycle(t3_cycle(q_left(dm, q)))
+            lhs = delta_left(t(m))
+            rhs = q_right(dm, t) - t3_cycle(t3_cycle(q_left(dm, t)))
         elif form == "form1":
-            lhs = delta_right(q(m))
-            rhs = q_left(dm, q) - t3_cycle(q_right(dm, q))
+            lhs = delta_right(t(m))
+            rhs = q_left(dm, t) - t3_cycle(q_right(dm, t))
         else:
-            lhs = delta_left(q(m))
-            t = q_right(dm, q)
-            rhs = t - t3_cycle(t)
-        res = lhs - rhs
-        if res:
-            col.violation(format_monomial(m), format_tensor(res / D))
-    return col.report()
+            lhs = delta_left(t(m))
+            r = q_right(dm, t)
+            rhs = r - t3_cycle(r)
+        return lhs - rhs
+    return _scaled_check(f"coleibniz[{form}]", q, N, residual)
+
+
+def _format_counit_kill(res):
+    left = {v: c for (u, v), c in res.terms.items() if u.degree == 0}
+    right = {u: c for (u, v), c in res.terms.items() if v.degree == 0}
+    return (f"(eps(x)1)q = {format_poly(Poly._trusted(left))}; "
+            f"(1(x)eps)q = {format_poly(Poly._trusted(right))}")
 
 
 def check_counit_kill(q, N):
     """(eps (x) 1) q = (1 (x) eps) q = 0 on all |a| <= N."""
-    _require_bound(N, q.domain_degree_bound, "check_counit_kill")
-    q, D = q.scaled()
-    col = _Collector("counit-kill", N)
-    for m in monomials(q.d, N):
-        left = {}
-        right = {}
-        for (u, v), c in q(m).terms.items():
-            if u.degree == 0:
-                bump(left, v, c)
-            if v.degree == 0:
-                bump(right, u, c)
-        if left or right:
-            col.violation(
-                format_monomial(m),
-                f"(eps(x)1)q = {format_poly(Poly._trusted(left) / D)}; "
-                f"(1(x)eps)q = {format_poly(Poly._trusted(right) / D)}")
-    return col.report()
+    def residual(t, m):
+        # the terms of q(a) that either counit sees
+        return Tensor2._trusted({(u, v): c for (u, v), c in t(m).terms.items()
+                                 if u.degree == 0 or v.degree == 0})
+    return _scaled_check("counit-kill", q, N, residual,
+                         render=_format_counit_kill)
 
 
 def check_delta_derivation(q, N):
     """q(ab) = q(a) Delta(b) + Delta(a) q(b) for all pairs |a|+|b| <= N."""
-    _require_bound(N, q.domain_degree_bound, "check_delta_derivation")
-    q, D = q.scaled()
-    col = _Collector("delta-derivation", N)
-    for a in monomials(q.d, N):
-        for b in monomials(q.d, N - a.degree):
-            if grlex_key(b) < grlex_key(a):
-                continue  # symmetric identity on commutative A
-            lhs = q(a * b)
-            rhs = tensor2_mul(q(a), comult(b)) + tensor2_mul(comult(a), q(b))
-            res = lhs - rhs
-            if res:
-                col.violation(
-                    f"({format_monomial(a)}, {format_monomial(b)})",
-                    format_tensor(res / D))
-    return col.report()
+    def residual(t, ab):
+        a, b = ab
+        return t(a * b) - (tensor2_mul(t(a), comult(b))
+                           + tensor2_mul(comult(a), t(b)))
+    return _scaled_check("delta-derivation", q, N, residual, domain=_pairs,
+                         describe=_format_pair)
 
 
 def check_cojacobi_coeffs(I, N):
@@ -240,33 +247,27 @@ def check_cojacobi_coeffs(I, N):
     sum_s ( l_{a1}^{sk} l_{x_s a2}^{ij} + l_{a1}^{si} l_{x_s a2}^{jk}
             + l_{a1}^{sj} l_{x_s a2}^{ki} ) must vanish.
     """
-    _require_bound(N + 1, I.domain_degree_bound, "check_cojacobi_coeffs")
-    I, D = I.scaled()
-    col = _Collector("cojacobi-coeffs", N)
-    d = I.d
-    for a in monomials(d, N):
-        for i in range(d):
-            for j in range(i + 1, d):
-                for k in range(j + 1, d):
-                    total = 0
-                    for coeff, (a1, a2) in splittings(a, 2):
-                        m1 = I.matrix(a1)
-                        if m1.is_zero():
-                            continue
-                        for s in range(d):
-                            m2 = I.matrix(Monomial.variable(d, s) * a2)
-                            if m2.is_zero():
-                                continue
-                            total += coeff * (
-                                m1[s, k] * m2[i, j]
-                                + m1[s, i] * m2[j, k]
-                                + m1[s, j] * m2[k, i])
-                    if total:
-                        col.violation(
-                            f"a={format_monomial(a)}, "
-                            f"(i,j,k)=({i + 1},{j + 1},{k + 1})",
-                            format_coeff(Fraction(total, D * D)))
-    return col.report()
+    def residual(t, key):
+        a, (i, j, k) = key
+        total = 0
+        for coeff, (a1, a2) in splittings(a, 2):
+            m1 = t.matrix(a1)
+            if m1.is_zero():
+                continue
+            for s in range(t.d):
+                m2 = t.matrix(Monomial.variable(t.d, s) * a2)
+                if m2.is_zero():
+                    continue
+                total += coeff * (m1[s, k] * m2[i, j] + m1[s, i] * m2[j, k]
+                                  + m1[s, j] * m2[k, i])
+        return total
+    return _scaled_check(
+        "cojacobi-coeffs", I, N, residual, power=2, need=N + 1,
+        domain=lambda d, N: product(monomials(d, N),
+                                    combinations(range(d), 3)),
+        describe=lambda key: f"a={format_monomial(key[0])}, "
+                             f"(i,j,k)={_one_based(key[1])}",
+        render=format_coeff)
 
 
 def check_jacobi(B, N):
@@ -276,19 +277,16 @@ def check_jacobi(B, N):
     """
     col = _Collector("jacobi", N)
     d = B.d
-    for i in range(d):
-        for j in range(i + 1, d):
-            for k in range(j + 1, d):
-                acc = {}
-                for l in range(d):
-                    axpy(acc, (B.entry(l, k) * B.entry(i, j).partial(l)).terms)
-                    axpy(acc, (B.entry(l, i) * B.entry(j, k).partial(l)).terms)
-                    axpy(acc, (B.entry(l, j) * B.entry(k, i).partial(l)).terms)
-                res = B._reduce(Poly._trusted(acc))
-                if res:
-                    col.violation(
-                        f"(i,j,k)=({i + 1},{j + 1},{k + 1})",
-                        format_poly(res))
+    for i, j, k in combinations(range(d), 3):
+        acc = {}
+        for l in range(d):
+            axpy(acc, (B.entry(l, k) * B.entry(i, j).partial(l)).terms)
+            axpy(acc, (B.entry(l, i) * B.entry(j, k).partial(l)).terms)
+            axpy(acc, (B.entry(l, j) * B.entry(k, i).partial(l)).terms)
+        res = B._reduce(Poly._trusted(acc))
+        if res:
+            col.violation(f"(i,j,k)={_one_based((i, j, k))}",
+                          format_poly(res))
     return col.report()
 
 
@@ -298,44 +296,41 @@ def check_poisson_hopf_compat(B, N):
         raise ValueError(
             "Hopf compatibility is defined in polynomial mode only")
     col = _Collector("poisson-hopf", N)
-    for a in monomials(B.d, N):
-        for b in monomials(B.d, N - a.degree):
-            if grlex_key(b) < grlex_key(a):
-                continue
-            res = dict(comult_poly(bracket_monomials(B, a, b)).terms)
-            for ca, (a1, a2) in splittings(a, 2):
-                for cb, (b1, b2) in splittings(b, 2):
-                    w = -ca * cb
-                    a2b2 = a2 * b2
-                    for m, c in bracket_monomials(B, a1, b1).terms.items():
-                        bump(res, (m, a2b2), w * c)
-                    a1b1 = a1 * b1
-                    for m, c in bracket_monomials(B, a2, b2).terms.items():
-                        bump(res, (a1b1, m), w * c)
-            if res:
-                col.violation(
-                    f"({format_monomial(a)}, {format_monomial(b)})",
-                    format_tensor(Tensor2._trusted(res)))
+    for a, b in _pairs(B.d, N):
+        res = dict(comult_poly(bracket_monomials(B, a, b)).terms)
+        for ca, (a1, a2) in splittings(a, 2):
+            for cb, (b1, b2) in splittings(b, 2):
+                w = -ca * cb
+                a2b2 = a2 * b2
+                for m, c in bracket_monomials(B, a1, b1).terms.items():
+                    bump(res, (m, a2b2), w * c)
+                a1b1 = a1 * b1
+                for m, c in bracket_monomials(B, a2, b2).terms.items():
+                    bump(res, (a1b1, m), w * c)
+        if res:
+            col.violation(_format_pair((a, b)),
+                          format_tensor(Tensor2._trusted(res)))
     return col.report()
+
+
+def linear_relations(d):
+    """The relations on structure constants equivalent to Jacobi: for i<j<k
+    and each s (0-based), ((i, j, k, s), terms), the relation being
+    sum over ((u, v, l), (l, w, s)) in terms of lam[u,v]_l lam[l,w]_s = 0."""
+    for i, j, k in combinations(range(d), 3):
+        for s in range(d):
+            yield (i, j, k, s), [((u, v, l), (l, w, s)) for l in range(d)
+                                 for u, v, w in ((i, j, k), (j, k, i),
+                                                 (k, i, j))]
 
 
 def check_linear_relations(c):
     """Quadratic relations on structure constants equivalent to Jacobi."""
     col = _Collector("linear-relations", 1)
-    d = c.d
-    for i in range(d):
-        for j in range(i + 1, d):
-            for k in range(j + 1, d):
-                for s in range(d):
-                    total = Fraction(0)
-                    for l in range(d):
-                        total += (c.get(i, j, l) * c.get(l, k, s)
-                                  + c.get(j, k, l) * c.get(l, i, s)
-                                  + c.get(k, i, l) * c.get(l, j, s))
-                    if total:
-                        col.violation(
-                            f"(i,j,k,s)=({i + 1},{j + 1},{k + 1},{s + 1})",
-                            format_coeff(total))
+    for ix, terms in linear_relations(c.d):
+        total = sum((c.get(*x) * c.get(*y) for x, y in terms), Fraction(0))
+        if total:
+            col.violation(f"(i,j,k,s)={_one_based(ix)}", format_coeff(total))
     return col.report()
 
 
@@ -367,35 +362,26 @@ def check_eps_s_morphisms(B, N, compat=None):
             skipped=True,
             note="not applicable: Hopf compatibility fails at this degree")
     col = _Collector("eps-s-morphisms", N)
-    for a in monomials(B.d, N):
-        for b in monomials(B.d, N - a.degree):
-            if grlex_key(b) < grlex_key(a):
-                continue
-            br = bracket_monomials(B, a, b)
-            eps = counit(br)
-            # {S(b), S(a)} = (-1)^(|a|+|b|) {b, a} on monomials
-            sign = -1 if (a.degree + b.degree) % 2 else 1
-            s_res = antipode(br) - bracket_monomials(B, b, a).scale(sign)
-            if eps or s_res:
-                col.violation(
-                    f"({format_monomial(a)}, {format_monomial(b)})",
-                    f"eps residual = {format_coeff(eps)}; "
-                    f"S residual = {format_poly(s_res)}")
+    for a, b in _pairs(B.d, N):
+        br = bracket_monomials(B, a, b)
+        eps = counit(br)
+        # {S(b), S(a)} = (-1)^(|a|+|b|) {b, a} on monomials
+        sign = -1 if (a.degree + b.degree) % 2 else 1
+        s_res = antipode(br) - bracket_monomials(B, b, a).scale(sign)
+        if eps or s_res:
+            col.violation(_format_pair((a, b)),
+                          f"eps residual = {format_coeff(eps)}; "
+                          f"S residual = {format_poly(s_res)}")
     return col.report()
 
 
 def check_antipode_coanti(q, N):
     """q(S(a)) = t2 (S (x) S) q(a) for all |a| <= N."""
-    _require_bound(N, q.domain_degree_bound, "check_antipode_coanti")
-    q, D = q.scaled()
-    col = _Collector("antipode-coanti", N)
-    for m in monomials(q.d, N):
-        v = q(m)
+    def residual(t, m):
+        v = t(m)
         lhs = -v if m.degree % 2 else v  # q(S(a)) with S(a) = (-1)^|a| a
-        res = lhs - t2_swap(antipode_tensor2(v))
-        if res:
-            col.violation(format_monomial(m), format_tensor(res / D))
-    return col.report()
+        return lhs - t2_swap(antipode_tensor2(v))
+    return _scaled_check("antipode-coanti", q, N, residual)
 
 
 def in_skew_generator_space(X):

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import lru_cache
+from itertools import combinations
 
 from .algebra import (
     DegreeBoundError,
@@ -34,6 +35,7 @@ from .checks import (
     check_support_condition,
     cojacobi_affordable_degree,
     in_skew_generator_space,
+    linear_relations,
     CheckReport,
 )
 from .fileformat import (
@@ -237,11 +239,10 @@ def _pmap_to_bracket(p, names):
     is p: a biderivation is fixed by its values on generator pairs."""
     d, N = p.d, p.domain_degree_bound
     f = {}
-    for i in range(d if N >= 1 else 0):
-        for j in range(i + 1, d):
-            val = j_from_p(p, Monomial.variable(d, i), Monomial.variable(d, j))
-            if val:
-                f[(i, j)] = val
+    for i, j in combinations(range(d if N >= 1 else 0), 2):
+        val = j_from_p(p, Monomial.variable(d, i), Monomial.variable(d, j))
+        if val:
+            f[(i, j)] = val
     B = BracketTable(d=d, f=f)
     rebuilt = pmap_from_bracket(B, N).assignments
     given = p.assignments
@@ -364,22 +365,13 @@ def cmd_relations(args, out):
     if d < 2:
         raise UsageError("relations needs --dim >= 2")
     relations = []
-    for i in range(1, d + 1):
-        for j in range(i + 1, d + 1):
-            for k in range(j + 1, d + 1):
-                for s in range(1, d + 1):
-                    terms = []
-                    for l in range(1, d + 1):
-                        terms.append([[i, j, l], [l, k, s]])
-                        terms.append([[j, k, l], [l, i, s]])
-                        terms.append([[k, i, l], [l, j, s]])
-                    text = " + ".join(
-                        f"lam[{a},{b}]_{c}*lam[{e},{f}]_{g}"
-                        for (a, b, c), (e, f, g) in terms) + " = 0"
-                    relations.append({
-                        "i": i, "j": j, "k": k, "s": s,
-                        "terms": terms, "text": text,
-                    })
+    for ix, terms in linear_relations(d):
+        terms = [[[u + 1 for u in x], [u + 1 for u in y]] for x, y in terms]
+        text = " + ".join(f"lam[{a},{b}]_{c}*lam[{e},{f}]_{g}"
+                          for (a, b, c), (e, f, g) in terms) + " = 0"
+        i, j, k, s = (u + 1 for u in ix)
+        relations.append({"i": i, "j": j, "k": k, "s": s,
+                          "terms": terms, "text": text})
     report = ReportDocument(command="relations")
     report.extra["relations"] = relations
     report.extra["count"] = len(relations)

@@ -12,6 +12,7 @@ product of two such series is (f * g).truncate(N).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from .algebra import (
     DegreeBoundError,
@@ -22,6 +23,7 @@ from .algebra import (
     monomials,
 )
 from .checks import (
+    WITNESS_CAP,
     CheckReport,
     check_cojacobi,
     check_coleibniz,
@@ -97,20 +99,19 @@ def verify_main5_roundtrip(B, N):
             for w in rep.witnesses:
                 witnesses.append((f"{rep.check_name}: {w[0]}", w[1]))
     d = B.d
-    for i in range(d):
-        for j in range(i + 1, d):
-            xi = Poly.from_monomial(Monomial.variable(d, i))
-            xj = Poly.from_monomial(Monomial.variable(d, j))
-            res = dual_bracket(q, xi, xj, N) - B.entry(i, j)
-            if res:
-                total += 1
-                witnesses.append(
-                    (f"dual_bracket(X{i + 1}, X{j + 1})", format_poly(res)))
+    for i, j in combinations(range(d), 2):
+        xi = Poly.from_monomial(Monomial.variable(d, i))
+        xj = Poly.from_monomial(Monomial.variable(d, j))
+        res = dual_bracket(q, xi, xj, N) - B.entry(i, j)
+        if res:
+            total += 1
+            witnesses.append(
+                (f"dual_bracket(X{i + 1}, X{j + 1})", format_poly(res)))
     return CheckReport(
         check_name="main5-roundtrip",
         passed=total == 0,
         degree_checked=N,
-        witnesses=witnesses[:10],
+        witnesses=witnesses[:WITNESS_CAP],
         total_violations=total,
         note=f"co-Jacobi verified up to degree {cj_degree}",
     )

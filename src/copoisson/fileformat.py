@@ -13,6 +13,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
 from .algebra import (
     Monomial,
@@ -320,11 +321,10 @@ def copoisson_payload(I, names):
         if mat.is_zero():
             continue
         lam = []
-        for i in range(I.d):
-            for j in range(i + 1, I.d):
-                v = mat[i, j]
-                if v:
-                    lam.append([i + 1, j + 1, format_coeff(v)])
+        for i, j in combinations(range(I.d), 2):
+            v = mat[i, j]
+            if v:
+                lam.append([i + 1, j + 1, format_coeff(v)])
         rows.append({"monomial": format_monomial(m, names), "lambda": lam})
     return {"rows": rows}
 

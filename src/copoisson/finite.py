@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 from .algebra import axpy, bump
@@ -315,15 +315,10 @@ def group_algebra_z2():
 
 @dataclass
 class LinearFamily:
-    """Affine solution space: offset + span(basis) inside k^ambient_dim."""
+    """Solution space: the span of basis inside k^ambient_dim."""
 
     ambient_dim: int
     basis: list = field(default_factory=list)
-    offset: tuple = ()
-
-    def __post_init__(self):
-        if not self.offset:
-            self.offset = tuple(Fraction(0) for _ in range(self.ambient_dim))
 
     @property
     def dimension(self):
@@ -333,7 +328,7 @@ class LinearFamily:
         if len(params) != self.dimension:
             raise ValueError(
                 f"expected {self.dimension} parameters, got {len(params)}")
-        v = list(self.offset)
+        v = [Fraction(0)] * self.ambient_dim
         for t, b in zip(params, self.basis):
             t = Fraction(t)
             if t:
@@ -362,7 +357,7 @@ def _solve(rows, U):
 # --- Poisson structure solver --------------------------------------------
 
 def _pair_index(H):
-    pairs = [(i, j) for i in range(H.dim) for j in range(i + 1, H.dim)]
+    pairs = list(combinations(range(H.dim), 2))
     return pairs, {p: idx for idx, p in enumerate(pairs)}
 
 
@@ -472,17 +467,15 @@ def jacobi_residual(H, brackets):
     """Flattened cyclic Jacobi residuals over all basis triples i<j<k."""
     n = H.dim
     out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                e = H.basis_vec
-                r = [Fraction(0)] * n
-                for (u, v, w) in ((i, j, k), (j, k, i), (k, i, j)):
-                    inner = bracket_eval(H, brackets, e(u), e(v))
-                    outer = bracket_eval(H, brackets, inner, e(w))
-                    for m in range(n):
-                        r[m] += outer[m]
-                out.extend(r)
+    e = H.basis_vec
+    for i, j, k in combinations(range(n), 3):
+        r = [Fraction(0)] * n
+        for (u, v, w) in ((i, j, k), (j, k, i), (k, i, j)):
+            inner = bracket_eval(H, brackets, e(u), e(v))
+            outer = bracket_eval(H, brackets, inner, e(w))
+            for m in range(n):
+                r[m] += outer[m]
+        out.extend(r)
     return tuple(out)
 
 
@@ -581,11 +574,10 @@ def qvals_from_vector(H, vec):
     out = {}
     for i in range(n):
         t = {}
-        for j in range(n):
-            for k in range(n):
-                v = vec[_q_u(H, i, j, k)]
-                if v:
-                    t[(j, k)] = v
+        for j, k in product(range(n), repeat=2):
+            v = vec[_q_u(H, i, j, k)]
+            if v:
+                t[(j, k)] = v
         out[i] = t
     return out
 
@@ -604,10 +596,8 @@ def cojacobi_residual(H, qvals):
             bump(cyc, (v1, v2, v3), w)
             bump(cyc, (v3, v1, v2), w)
             bump(cyc, (v2, v3, v1), w)
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    out.append(cyc.get((j, k, l), Fraction(0)))
+        for key in product(range(n), repeat=3):
+            out.append(cyc.get(key, Fraction(0)))
     return tuple(out)
 
 
@@ -677,8 +667,9 @@ def quadratic_residual_family(fam, which, H):
     """Extract the exact quadratic residual form over a linear family.
 
     `which` is "jacobi" or "cojacobi".  The residual is R(x) = Bil(x, x)
-    for a bilinear Bil, so by polarization coeffs[(i, i)] = R(b_i) and
-    coeffs[(i, j)] = Bil(b_i, b_j) + Bil(b_j, b_i) over the family basis b.
+    for a bilinear Bil, so over the family basis b, by polarization,
+    coeffs[(i, i)] = Bil(b_i, b_i) and
+    coeffs[(i, j)] = Bil(b_i, b_j) + Bil(b_j, b_i).
     Bil is evaluated on the nonzero entries only.
     """
     n = H.dim
@@ -700,18 +691,8 @@ def quadratic_residual_family(fam, which, H):
             out[m] = v
         return tuple(out)
 
-    offset = operand(fam.offset)
-    if any(form((offset, offset))):
-        raise ValueError("family offset has nonzero residual; "
-                         "quadratic extraction assumes a homogeneous family")
-    dim = fam.dimension
-    coeffs = {}
-    # the diagonal is R at the unit parameter vectors, offset included
-    for i in range(dim):
-        x = operand(fam.member([int(s == i) for s in range(dim)]))
-        coeffs[(i, i)] = form((x, x))
     basis = [operand(b) for b in fam.basis]
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            coeffs[(i, j)] = form((basis[i], basis[j]), (basis[j], basis[i]))
-    return QuadraticResidual(dim=dim, length=length, coeffs=coeffs)
+    coeffs = {(i, i): form((x, x)) for i, x in enumerate(basis)}
+    for i, j in combinations(range(fam.dimension), 2):
+        coeffs[(i, j)] = form((basis[i], basis[j]), (basis[j], basis[i]))
+    return QuadraticResidual(dim=fam.dimension, length=length, coeffs=coeffs)

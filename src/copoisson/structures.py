@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations, product
 from math import lcm
 
 from .algebra import (
@@ -80,11 +81,10 @@ class SkewMatrix:
         """sum lambda^ij x_i (x) x_j as an element of the skew space."""
         d = self.d
         out = {}
-        for i in range(d):
-            for j in range(d):
-                v = self.entries[i][j]
-                if v:
-                    out[(Monomial.variable(d, i), Monomial.variable(d, j))] = v
+        for i, j in product(range(d), repeat=2):
+            v = self.entries[i][j]
+            if v:
+                out[(Monomial.variable(d, i), Monomial.variable(d, j))] = v
         return Tensor2._trusted(out)
 
 
@@ -259,12 +259,11 @@ class StructConsts:
 def linear_poisson(c):
     """BracketTable with f_ij = sum_l lambda^ij_l x_l."""
     f = {}
-    for i in range(c.d):
-        for j in range(i + 1, c.d):
-            p = Poly({Monomial.variable(c.d, l): c.get(i, j, l)
-                      for l in range(c.d) if c.get(i, j, l)})
-            if p:
-                f[(i, j)] = p
+    for i, j in combinations(range(c.d), 2):
+        p = Poly({Monomial.variable(c.d, l): c.get(i, j, l)
+                  for l in range(c.d) if c.get(i, j, l)})
+        if p:
+            f[(i, j)] = p
     return BracketTable(d=c.d, f=f)
 
 
@@ -273,11 +272,10 @@ def itable_from_consts(c):
     rows = {}
     for s in range(c.d):
         upper = {}
-        for i in range(c.d):
-            for j in range(i + 1, c.d):
-                v = c.get(i, j, s)
-                if v:
-                    upper[(i, j)] = v
+        for i, j in combinations(range(c.d), 2):
+            v = c.get(i, j, s)
+            if v:
+                upper[(i, j)] = v
         if upper:
             rows[Monomial.variable(c.d, s)] = SkewMatrix.from_upper(c.d, upper)
     return ITable(d=c.d, domain_degree_bound=1, rows=rows)
@@ -304,16 +302,15 @@ def copoisson_from_series(B):
 def series_from_copoisson(I):
     """Inverse of copoisson_from_series: f_ij = sum_a (entry_a / a!) a."""
     f = {}
-    for i in range(I.d):
-        for j in range(i + 1, I.d):
-            terms = {}
-            for m, mat in I.rows.items():
-                v = mat[i, j]
-                if v:
-                    terms[m] = v / factorial(m)
-            p = Poly(terms)
-            if p:
-                f[(i, j)] = p
+    for i, j in combinations(range(I.d), 2):
+        terms = {}
+        for m, mat in I.rows.items():
+            v = mat[i, j]
+            if v:
+                terms[m] = v / factorial(m)
+        p = Poly(terms)
+        if p:
+            f[(i, j)] = p
     return BracketTable(d=I.d, f=f, truncation_degree=I.domain_degree_bound)
 
 

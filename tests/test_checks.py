@@ -26,6 +26,7 @@ from copoisson.checks import (
     check_skew,
     check_support_condition,
     cojacobi_affordable_degree,
+    cojacobi_required_bound,
     in_skew_generator_space,
 )
 from copoisson.hopf import QMap, comult, i_from_q, q_from_i
@@ -74,6 +75,38 @@ def test_cojacobi_bound_inflation():
     with pytest.raises(DegreeBoundError):
         check_cojacobi(q, 2)
     assert cojacobi_affordable_degree(q) < 2
+
+
+def affordable_degree_by_rescan(q):
+    """The largest affordable co-Jacobi degree found by trying every N in
+    turn, each try rescanning the monomials: the reference for the one-pass
+    cojacobi_affordable_degree."""
+    best = -1
+    for N in range(q.domain_degree_bound + 1):
+        if cojacobi_required_bound(q, N) <= q.domain_degree_bound:
+            best = N
+        else:
+            break
+    return best
+
+
+def test_affordable_degree_matches_rescan(rng):
+    kinds = set()
+    for _ in range(400):
+        d = rng.randint(1, 3)
+        bound = rng.randint(0, 4)
+        assignments = {}
+        for m in monomials(d, bound):
+            if rng.random() < 0.3:
+                u = rng.choice(monomials(d, bound + 2))
+                v = rng.choice(monomials(d, 1))
+                assignments[m] = Tensor2.from_pair(u, v)
+        q = QMap(d=d, domain_degree_bound=bound, assignments=assignments)
+        got = cojacobi_affordable_degree(q)
+        assert got == affordable_degree_by_rescan(q)
+        kinds.add((got == -1, got == bound))
+    # tables affordable at no degree, at every degree and at some degrees
+    assert kinds == {(True, False), (False, True), (False, False)}
 
 
 def test_cojacobi_failing_case():

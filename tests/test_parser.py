@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from copoisson.algebra import Monomial, Poly, format_monomial
+from copoisson.algebra import Monomial, Poly, format_monomial, format_poly
 from copoisson.fileformat import SpecFormatError, parse_monomial
 from copoisson.parser import MAX_NESTING, ParseError, parse_poly
 
@@ -133,6 +133,16 @@ def test_monomial_format_roundtrip(names, data):
     m = Monomial(data.draw(st.lists(st.integers(0, 12), min_size=len(names),
                                     max_size=len(names))))
     assert parse_monomial(format_monomial(m, names), names) == m
+
+
+@settings(deadline=None)
+@given(NAMES, st.data())
+def test_poly_format_roundtrip(names, data):
+    monos = st.lists(st.integers(0, 5), min_size=len(names),
+                     max_size=len(names)).map(Monomial)
+    coeffs = st.fractions(max_denominator=12, min_value=-50, max_value=50)
+    p = Poly(data.draw(st.dictionaries(monos, coeffs, max_size=6)))
+    assert parse_poly(format_poly(p, names), names) == p
 
 
 def monomial_via_parse_poly(s, variables, where=""):
