@@ -313,13 +313,15 @@ def check_poisson_hopf_compat(B, N):
     return col.report()
 
 
-def linear_relations(d):
+def linear_relations(d, base=0):
     """The relations on structure constants equivalent to Jacobi: for i<j<k
-    and each s (0-based), ((i, j, k, s), terms), the relation being
-    sum over ((u, v, l), (l, w, s)) in terms of lam[u,v]_l lam[l,w]_s = 0."""
-    for i, j, k in combinations(range(d), 3):
-        for s in range(d):
-            yield (i, j, k, s), [((u, v, l), (l, w, s)) for l in range(d)
+    and each s, ((i, j, k, s), terms), the relation being sum over
+    ((u, v, l), (l, w, s)) in terms of lam[u,v]_l lam[l,w]_s = 0.  Indices
+    run from `base`: 0 to evaluate, 1 to print."""
+    indices = range(base, d + base)
+    for i, j, k in combinations(indices, 3):
+        for s in indices:
+            yield (i, j, k, s), [((u, v, l), (l, w, s)) for l in indices
                                  for u, v, w in ((i, j, k), (j, k, i),
                                                  (k, i, j))]
 

@@ -365,11 +365,9 @@ def cmd_relations(args, out):
     if d < 2:
         raise UsageError("relations needs --dim >= 2")
     relations = []
-    for ix, terms in linear_relations(d):
-        terms = [[[u + 1 for u in x], [u + 1 for u in y]] for x, y in terms]
+    for (i, j, k, s), terms in linear_relations(d, base=1):
         text = " + ".join(f"lam[{a},{b}]_{c}*lam[{e},{f}]_{g}"
                           for (a, b, c), (e, f, g) in terms) + " = 0"
-        i, j, k, s = (u + 1 for u in ix)
         relations.append({"i": i, "j": j, "k": k, "s": s,
                           "terms": terms, "text": text})
     report = ReportDocument(command="relations")

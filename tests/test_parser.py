@@ -102,7 +102,6 @@ def test_zero_denominator():
 
 
 def test_roundtrip_with_formatter(rng):
-    from copoisson.algebra import format_poly
     from conftest import random_poly
 
     for _ in range(20):
