@@ -101,10 +101,10 @@ def specs(draw):
             N if kind == "series" else None))
         kind = "poisson"
     elif kind == "copoisson":
-        rows = st.dictionaries(st.sampled_from(upper), COEFFS, min_size=1)
+        uppers = draw(st.dictionaries(monos, st.dictionaries(
+            st.sampled_from(upper), COEFFS, min_size=1), max_size=3))
         structure = ITable(d=d, domain_degree_bound=N, rows={
-            m: SkewMatrix.from_upper(d, r)
-            for m, r in draw(st.dictionaries(monos, rows, max_size=3)).items()})
+            m: SkewMatrix.from_upper(d, r) for m, r in uppers.items()})
     elif kind == "struct_consts":
         keys = st.tuples(st.sampled_from(upper), st.integers(0, d - 1)).map(
             lambda k: (*k[0], k[1]))
