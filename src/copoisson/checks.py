@@ -91,10 +91,11 @@ class _Collector:
         self.witnesses = []
         self.count = 0
 
-    def violation(self, description, residual):
+    def violation(self, witness):
+        """Count a violation; witness() formats it, for kept ones only."""
         self.count += 1
         if len(self.witnesses) < WITNESS_CAP:
-            self.witnesses.append((description, residual))
+            self.witnesses.append(witness())
 
     def report(self):
         return CheckReport(
@@ -143,7 +144,8 @@ def _scaled_check(name, table, N, residual, power=1, need=None,
     for key in domain(t.d, N):
         res = residual(t, key)
         if res:
-            col.violation(describe(key), render(res / Fraction(D ** power)))
+            col.violation(lambda: (describe(key),
+                                   render(res / Fraction(D ** power))))
     return col.report()
 
 
@@ -285,8 +287,8 @@ def check_jacobi(B, N):
             axpy(acc, (B.entry(l, j) * B.entry(k, i).partial(l)).terms)
         res = B._reduce(Poly._trusted(acc))
         if res:
-            col.violation(f"(i,j,k)={_one_based((i, j, k))}",
-                          format_poly(res))
+            col.violation(lambda: (f"(i,j,k)={_one_based((i, j, k))}",
+                                   format_poly(res)))
     return col.report()
 
 
@@ -308,8 +310,8 @@ def check_poisson_hopf_compat(B, N):
                 for m, c in bracket_monomials(B, a2, b2).terms.items():
                     bump(res, (a1b1, m), w * c)
         if res:
-            col.violation(_format_pair((a, b)),
-                          format_tensor(Tensor2._trusted(res)))
+            col.violation(lambda: (_format_pair((a, b)),
+                                   format_tensor(Tensor2._trusted(res))))
     return col.report()
 
 
@@ -332,7 +334,8 @@ def check_linear_relations(c):
     for ix, terms in linear_relations(c.d):
         total = sum((c.get(*x) * c.get(*y) for x, y in terms), Fraction(0))
         if total:
-            col.violation(f"(i,j,k,s)={_one_based(ix)}", format_coeff(total))
+            col.violation(lambda: (f"(i,j,k,s)={_one_based(ix)}",
+                                   format_coeff(total)))
     return col.report()
 
 
@@ -341,8 +344,8 @@ def check_support_condition(I):
     col = _Collector("support", I.domain_degree_bound)
     for m in sorted(I.rows, key=grlex_key):
         if m.degree != 1 and not I.rows[m].is_zero():
-            col.violation(format_monomial(m),
-                          format_tensor(I.rows[m].to_tensor2()))
+            col.violation(lambda: (format_monomial(m),
+                                   format_tensor(I.rows[m].to_tensor2())))
     return col.report()
 
 
@@ -371,9 +374,9 @@ def check_eps_s_morphisms(B, N, compat=None):
         sign = -1 if (a.degree + b.degree) % 2 else 1
         s_res = antipode(br) - bracket_monomials(B, b, a).scale(sign)
         if eps or s_res:
-            col.violation(_format_pair((a, b)),
-                          f"eps residual = {format_coeff(eps)}; "
-                          f"S residual = {format_poly(s_res)}")
+            col.violation(lambda: (_format_pair((a, b)),
+                                   f"eps residual = {format_coeff(eps)}; "
+                                   f"S residual = {format_poly(s_res)}"))
     return col.report()
 
 
@@ -417,8 +420,8 @@ def check_dual_of_abcd(H, qvals):
             tensor_concat(rhs, cocommutator_vec(H, c1), qvals[c2], w)
         axpy(lhs, rhs, -1)
         if lhs:
-            col.violation(f"basis element {H.basis_names[c]}",
-                          _format_fin_tensor(H, lhs))
+            col.violation(lambda: (f"basis element {H.basis_names[c]}",
+                                   _format_fin_tensor(H, lhs)))
         # Corollary: a1(x)a2(x)a3(x)q(a4) - a2(x)a1(x)a3(x)q(a4)
         #          = q(a1)(x)a2(x)a3(x)a4 - q(a1)(x)a2(x)a4(x)a3.
         lhs5 = {}
@@ -432,9 +435,9 @@ def check_dual_of_abcd(H, qvals):
                 bump(rhs5, (u, v, a2, a4, a3), -w * qw)
         axpy(lhs5, rhs5, -1)
         if lhs5:
-            col.violation(
+            col.violation(lambda: (
                 f"basis element {H.basis_names[c]} (corollary identity)",
-                _format_fin_tensor(H, lhs5))
+                _format_fin_tensor(H, lhs5)))
     return col.report()
 
 

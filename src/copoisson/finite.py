@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb
+from math import comb, lcm
 
 from .algebra import axpy, bump
 
@@ -26,10 +26,11 @@ def rref(rows, ncols):
     Rows are eliminated one at a time against the pivot rows found so far,
     which are kept fully reduced: 1 at their own pivot column and 0 at every
     other pivot column.  What is left of a row makes its smallest column a
-    new pivot, which is then cleared from the earlier pivot rows.  No zero
-    entry is ever stored, and the input rows are not modified.  The reduced
-    row echelon form is unique, so the result does not depend on the order
-    of the rows.
+    new pivot, which is then cleared from the earlier pivot rows.  Input
+    rows may hold any exact numbers (the solvers' are int); a kept row is
+    divided by its pivot, so reduced rows hold Fractions.  No zero entry is
+    ever stored, and the input rows are not modified.  The reduced row
+    echelon form is unique, so the result does not depend on the row order.
 
     Returns (reduced rows as sparse dicts in pivot-column order, pivot
     column list)."""
@@ -342,7 +343,24 @@ class LinearFamily:
 # Each solver fills accumulators {output coordinate: {unknown: coeff}} with
 # `bump`; every nonzero cell is one sparse constraint row, and the rows go
 # to rref as they are.  Their order does not matter: the reduced row
-# echelon form, and with it the family basis, is unique.
+# echelon form, and with it the family basis, is unique.  Rows are
+# homogeneous, so they are built on the int copies of _int_tensors; a Hopf
+# row mixes degrees in mult and comult and scales its lower one by Dm * Dc.
+
+def _int_tensors(H):
+    """(mult_nz, comult_nz, unit, counit, Dm, Dc): int copies of H's
+    tensors, each times the lcm of its denominators (Dm, Dc, Du, De)."""
+    lcm_of = lambda ws: lcm(*(w.denominator for w in ws))
+    Dm = lcm_of(w for p in H.mult_nz.values() for _, w in p)
+    Dc = lcm_of(w for t in H.comult_nz for w in t.values())
+    Du, De = lcm_of(H.unit), lcm_of(H.counit)
+    return ({ij: tuple((k, int(w * Dm)) for k, w in p)
+             for ij, p in H.mult_nz.items()},
+            tuple({jk: int(w * Dc) for jk, w in t.items()}
+                  for t in H.comult_nz),
+            tuple(int(w * Du) for w in H.unit),
+            tuple(int(w * De) for w in H.counit), Dm, Dc)
+
 
 def _emit(rows, acc):
     """Append the nonzero cells of acc to rows."""
@@ -375,6 +393,7 @@ def solve_poisson_family(H, hopf_compat=False):
     """
     n = H.dim
     _, pair_pos = _pair_index(H)
+    mult, comult, unit, _, Dm, Dc = _int_tensors(H)
     rows = []
 
     def bracket(acc, key, i, j, k, w):
@@ -391,40 +410,40 @@ def solve_poisson_family(H, hopf_compat=False):
     for j in range(n):
         acc = {k: {} for k in range(n)}
         for i in range(n):
-            if H.unit[i]:
+            if unit[i]:
                 for k in range(n):
-                    bracket(acc, k, i, j, k, H.unit[i])
+                    bracket(acc, k, i, j, k, unit[i])
         _emit(rows, acc)
     # Leibniz {ab, c} = a{b, c} + {a, c}b
     for a in range(n):
         for b in range(n):
             for c in range(n):
                 acc = {k: {} for k in range(n)}
-                for k, w in H.mult_nz[(a, b)]:
+                for k, w in mult[(a, b)]:
                     for m in range(n):
                         bracket(acc, m, k, c, m, w)
                 for k in range(n):
-                    for m, w in H.mult_nz[(a, k)]:
+                    for m, w in mult[(a, k)]:
                         bracket(acc, m, b, c, k, -w)
-                    for m, w in H.mult_nz[(k, b)]:
+                    for m, w in mult[(k, b)]:
                         bracket(acc, m, a, c, k, -w)
                 _emit(rows, acc)
     if hopf_compat:
         for a in range(n):
             for b in range(n):
                 acc = {}
-                # Delta({a,b})
+                # Delta({a,b}), times Dm * Dc like the degree-3 terms below
                 for k in range(n):
-                    for (m1, m2), w in H.comult_nz[k].items():
-                        bracket(acc, (m1, m2), a, b, k, w)
+                    for (m1, m2), w in comult[k].items():
+                        bracket(acc, (m1, m2), a, b, k, w * Dm * Dc)
                 # -sum {a1,b1}(x)a2b2 - a1b1(x){a2,b2}
-                for (a1, a2), wa in H.comult_nz[a].items():
-                    for (b1, b2), wb in H.comult_nz[b].items():
+                for (a1, a2), wa in comult[a].items():
+                    for (b1, b2), wb in comult[b].items():
                         w = wa * wb
-                        for m2, c in H.mult_nz[(a2, b2)]:
+                        for m2, c in mult[(a2, b2)]:
                             for m1 in range(n):
                                 bracket(acc, (m1, m2), a1, b1, m1, -w * c)
-                        for m1, c in H.mult_nz[(a1, b1)]:
+                        for m1, c in mult[(a1, b1)]:
                             for m2 in range(n):
                                 bracket(acc, (m1, m2), a2, b2, m2, -w * c)
                 _emit(rows, acc)
@@ -500,6 +519,7 @@ def solve_copoisson_family(H, hopf_compat=False):
     handled separately.
     """
     n = H.dim
+    mult, comult, _, counit, Dm, Dc = _int_tensors(H)
     rows = []
 
     def add(acc, key, u, w):
@@ -510,17 +530,17 @@ def solve_copoisson_family(H, hopf_compat=False):
     for i in range(n):
         for j in range(n):
             for k in range(j, n):
-                add(acc, (i, j, k), _q_u(H, i, j, k), Fraction(1))
-                add(acc, (i, j, k), _q_u(H, i, k, j), Fraction(1))
+                add(acc, (i, j, k), _q_u(H, i, j, k), 1)
+                add(acc, (i, j, k), _q_u(H, i, k, j), 1)
     _emit(rows, acc)
     # counit contractions vanish
     acc = {}
     for i in range(n):
         for m in range(n):
             for j in range(n):
-                if H.counit[j]:
-                    add(acc, (i, m, 0), _q_u(H, i, j, m), H.counit[j])
-                    add(acc, (i, m, 1), _q_u(H, i, m, j), H.counit[j])
+                if counit[j]:
+                    add(acc, (i, m, 0), _q_u(H, i, j, m), counit[j])
+                    add(acc, (i, m, 1), _q_u(H, i, m, j), counit[j])
     _emit(rows, acc)
     # co-Leibniz: (Delta(x)1)q(c) - (1(x)q)Delta(c) + t3^2 (q(x)1)Delta(c) = 0
     for c in range(n):
@@ -528,9 +548,9 @@ def solve_copoisson_family(H, hopf_compat=False):
         for j in range(n):
             for k in range(n):
                 u = _q_u(H, c, j, k)
-                for (m1, m2), w in H.comult_nz[j].items():
+                for (m1, m2), w in comult[j].items():
                     add(acc, (m1, m2, k), u, w)
-        for (a, b), w in H.comult_nz[c].items():
+        for (a, b), w in comult[c].items():
             for m2 in range(n):
                 for m3 in range(n):
                     add(acc, (a, m2, m3), _q_u(H, b, m2, m3), -w)
@@ -542,26 +562,26 @@ def solve_copoisson_family(H, hopf_compat=False):
                     add(acc, (p2, b, p1), _q_u(H, a, p1, p2), w)
         _emit(rows, acc)
     if hopf_compat:
-        # q(ab) = q(a)Delta(b) + Delta(a)q(b)
+        # q(ab) = q(a)Delta(b) + Delta(a)q(b), q(ab) times Dm * Dc
         for a in range(n):
             for b in range(n):
                 acc = {}
-                for k, w in H.mult_nz[(a, b)]:
+                for k, w in mult[(a, b)]:
                     for j in range(n):
                         for l in range(n):
-                            add(acc, (j, l), _q_u(H, k, j, l), w)
-                for (b1, b2), wb in H.comult_nz[b].items():
+                            add(acc, (j, l), _q_u(H, k, j, l), w * Dm * Dc)
+                for (b1, b2), wb in comult[b].items():
                     for j in range(n):
-                        for m1, c1 in H.mult_nz[(j, b1)]:
+                        for m1, c1 in mult[(j, b1)]:
                             for l in range(n):
-                                for m2, c2 in H.mult_nz[(l, b2)]:
+                                for m2, c2 in mult[(l, b2)]:
                                     add(acc, (m1, m2), _q_u(H, a, j, l),
                                         -wb * c1 * c2)
-                for (a1, a2), wa in H.comult_nz[a].items():
+                for (a1, a2), wa in comult[a].items():
                     for j in range(n):
-                        for m1, c1 in H.mult_nz[(a1, j)]:
+                        for m1, c1 in mult[(a1, j)]:
                             for l in range(n):
-                                for m2, c2 in H.mult_nz[(a2, l)]:
+                                for m2, c2 in mult[(a2, l)]:
                                     add(acc, (m1, m2), _q_u(H, b, j, l),
                                         -wa * c1 * c2)
                 _emit(rows, acc)

@@ -88,7 +88,7 @@ class QMap:
             raise DegreeBoundError(
                 f"q requested at degree {m.degree}, table bound is "
                 f"{self.domain_degree_bound}")
-        return self.assignments.get(m, Tensor2())
+        return self.assignments.get(m) or Tensor2()
 
     def scaled(self):
         """(D q, D): D the lcm of the denominators, D q int-valued."""
@@ -113,7 +113,7 @@ class PMap:
             raise DegreeBoundError(
                 f"p requested at degrees ({a.degree},{b.degree}), table bound "
                 f"is {self.domain_degree_bound}")
-        return self.assignments.get((a, b), Poly())
+        return self.assignments.get((a, b)) or Poly()
 
 
 def _q_i_sum(table, a, signed):

@@ -164,11 +164,8 @@ class BracketTable:
 
     def entry(self, i, j):
         """f_ij with the skew extension for arbitrary index order."""
-        if i == j:
-            return Poly()
-        if i < j:
-            return self.f.get((i, j), Poly())
-        return -self.f.get((j, i), Poly())
+        p = self.f.get((i, j) if i < j else (j, i)) or Poly()  # f_ii: a miss
+        return p if i < j else -p
 
     def _reduce(self, p):
         if self.series_mode:

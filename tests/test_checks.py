@@ -8,10 +8,15 @@ from copoisson.algebra import (
     Monomial,
     Poly,
     Tensor2,
+    format_monomial,
+    format_tensor,
     monomials,
+    t2_swap,
 )
 from copoisson.checks import (
     COLEIBNIZ_FORMS,
+    WITNESS_CAP,
+    _scaled_check,
     check_antipode_coanti,
     check_cojacobi,
     check_cojacobi_coeffs,
@@ -400,3 +405,26 @@ def test_scaled_tables():
     Is, D = I.scaled()
     assert D == 5 and Is.matrix(x).entries == ((0, 2), (-2, 0))
     assert ITable(d=2, domain_degree_bound=1).scaled()[1] == 1
+
+
+def test_only_the_kept_witnesses_are_formatted():
+    N = 4
+    one = mono(0, 0)
+    q = QMap(d=2, domain_degree_bound=N, assignments={
+        m: Tensor2.from_pair(m, one, Fraction(1, 3)) for m in monomials(2, N)})
+    # every monomial is a skew violation; an eager formatter is the reference
+    want = [(format_monomial(m), format_tensor(q(m) + t2_swap(q(m))))
+            for m in monomials(2, N)]
+    assert len(want) > WITNESS_CAP
+    rendered = []
+
+    def render(t):
+        rendered.append(t)
+        return format_tensor(t)
+
+    got = _scaled_check("skew", q, N, lambda t, m: t(m) + t2_swap(t(m)),
+                        render=render)
+    assert 0 < len(rendered) <= WITNESS_CAP
+    assert got.witnesses == want[:WITNESS_CAP]
+    assert got.total_violations == len(want)
+    assert got.to_dict() == check_skew(q, N).to_dict()

@@ -570,3 +570,23 @@ def test_sparse_hopf_rows_match_the_dense_scan(monkeypatch, structure):
     # index in them shows up as a different nullspace
     sparse = nullspace(full[len(base):], U)
     assert sparse and sparse == nullspace(dense_hopf_rows(H, structure), U)
+
+
+def test_constraint_rows_are_int(monkeypatch):
+    import copoisson.finite as finite
+    captured = []
+    monkeypatch.setattr(finite, "_solve",
+                        lambda rows, U: captured.append(list(rows)))
+    H = sweedler_h4()
+    # every tensor of this basis has a fractional entry, and Dm != Dc
+    skewed = rescaled(H, [Fraction(2), Fraction(1, 2), Fraction(1, 3),
+                          Fraction(1)])
+    assert finite._int_tensors(skewed)[4:] == (24, 2)
+    assert Fraction(1, 2) in skewed.unit and Fraction(1, 2) in skewed.counit
+    for C in (H, group_algebra_s3(), skewed):
+        for solve in (solve_poisson_family, solve_copoisson_family):
+            for hopf in (False, True):
+                solve(C, hopf_compat=hopf)
+                rows = captured.pop()
+                assert rows and all(type(v) is int
+                                    for row in rows for v in row.values())
