@@ -26,7 +26,6 @@ from .hopf import (
     antipode,
     cocommutator,
     comult,
-    comult2,
     comult_poly,
     counit,
     i_from_q,
@@ -40,7 +39,6 @@ from .structures import (
     SkewMatrix,
     StructConsts,
     copoisson_from_series,
-    is_rational,
     itable_from_consts,
     linear_poisson,
     make_copoisson,

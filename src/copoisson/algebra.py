@@ -86,11 +86,17 @@ def grlex_key(m):
 
 
 def monomials(d, max_degree):
-    """All monomials in d variables of degree <= max_degree, grlex order."""
-    out = []
-    for total in range(max_degree + 1):
-        out.extend(Monomial(c) for c in _compositions(total, d))
-    return out
+    """All monomials in d variables of degree <= max_degree, grlex order.
+
+    The enumeration is memoized per (d, max_degree); each call returns a
+    fresh list, which the caller may mutate."""
+    return list(_monomials(d, max_degree))
+
+
+@lru_cache(maxsize=256)
+def _monomials(d, max_degree):
+    return tuple(_trusted_monomial(c) for total in range(max_degree + 1)
+                 for c in _compositions(total, d))
 
 
 def _compositions(n, k):

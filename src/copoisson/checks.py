@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
+from math import comb
 
 from .algebra import (
     DegreeBoundError,
@@ -107,13 +109,17 @@ class _Collector:
         )
 
 
+@lru_cache(maxsize=64)
 def _pairs(d, N):
     """The monomial pairs |a| + |b| <= N in graded-lex order, each unordered
-    pair once (the identities checked on pairs are symmetric in a, b)."""
-    for a in monomials(d, N):
-        for b in monomials(d, N - a.degree):
-            if grlex_key(b) >= grlex_key(a):
-                yield a, b
+    pair once (the identities checked on pairs are symmetric in a, b).
+
+    Memoized per (d, N) as a tuple.  The monomials of degree <= k are the
+    first comb(d + k, d) of the grlex list, so b runs over the slice of it
+    from a up to that prefix for k = N - |a|."""
+    monos = monomials(d, N)
+    return tuple((a, b) for i, a in enumerate(monos)
+                 for b in monos[i:comb(d + N - a.degree, d)])
 
 
 def _format_pair(ab):

@@ -49,21 +49,24 @@ def dual_bracket(q, f, g, N):
     (f (x) g) q(c) / c!.
 
     f and g are series given as Polys; their terms beyond degree N are
-    dropped first, as q(c) with |c| = N can have factors of degree N + 1."""
+    dropped first, as q(c) with |c| = N can have factors of degree N + 1.
+    Each pair of nonzero terms f_u X^u, g_v X^v is weighted once, by
+    f_u u! g_v v!, and looked up in every q(c) at the key (u, v)."""
     if q.domain_degree_bound < N:
         raise DegreeBoundError(
             f"dual_bracket needs q up to degree {N}, table bound is "
             f"{q.domain_degree_bound}")
-    f = f.truncate(N)
-    g = g.truncate(N)
+    fw = [(u, c * factorial(u)) for u, c in f.truncate(N).terms.items()]
+    gw = [(v, c * factorial(v)) for v, c in g.truncate(N).terms.items()]
+    weights = [((u, v), fu * gv) for u, fu in fw for v, gv in gw]
     out = {}
     for c in monomials(q.d, N):
+        qc = q(c).terms
         total = Fraction(0)
-        for (u, v), w in q(c).terms.items():
-            fu = f.coeff(u)
-            gv = g.coeff(v)
-            if fu and gv:
-                total += w * fu * factorial(u) * gv * factorial(v)
+        for uv, fg in weights:
+            w = qc.get(uv)
+            if w:
+                total += w * fg
         if total:
             out[c] = total / factorial(c)
     return Poly._trusted(out)

@@ -699,9 +699,6 @@ def quadratic_residual_family(fam, which, H):
         raise ValueError(f"unknown residual kind {which!r}")
     table, bilinear, length = kinds[which]
 
-    def operand(vec):
-        return table(H, [Fraction(v) for v in vec])
-
     def form(*pairs):
         acc = {}
         for x, y in pairs:
@@ -711,7 +708,7 @@ def quadratic_residual_family(fam, which, H):
             out[m] = v
         return tuple(out)
 
-    basis = [operand(b) for b in fam.basis]
+    basis = [table(H, b) for b in fam.basis]
     coeffs = {(i, i): form((x, x)) for i, x in enumerate(basis)}
     for i, j in combinations(range(fam.dimension), 2):
         coeffs[(i, j)] = form((basis[i], basis[j]), (basis[j], basis[i]))

@@ -12,12 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from operator import add
 
 from .algebra import (
     DegreeBoundError,
     Poly,
     Tensor2,
     Tensor3,
+    _trusted_monomial,
     axpy,
     bump,
     splittings,
@@ -37,11 +39,6 @@ def comult_poly(f):
     for m, c in f.terms.items():
         axpy(out, comult(m).terms, c)
     return Tensor2._trusted(out)
-
-
-def comult2(a):
-    """Delta^(2)(x^a): the trinomial splitting sum in A(x)A(x)A."""
-    return Tensor3._trusted({bce: coeff for coeff, bce in splittings(a, 3)})
 
 
 def counit(f):
@@ -140,17 +137,24 @@ def i_from_q(q, a):
 
 def _p_j_sum(table, a, b, signed):
     """table(a_1 (x) b_1) a_2 b_2, times (-1)^(|a_2|+|b_2|) when `signed`.
-    The first splittings are (a, 1), (b, 1), as for _q_i_sum."""
+
+    table(a, b) runs the bound check once: every a_1, b_1 lies within the
+    degrees of a, b, so the other entries are read from the assignments
+    directly.  b's splittings are listed once, with their degrees."""
+    table(a, b)
+    entry = table.assignments.get
+    b_splits = [(cb, b1, b2, b2.degree) for cb, (b1, b2) in splittings(b, 2)]
     out = {}
     for ca, (a1, a2) in splittings(a, 2):
-        for cb, (b1, b2) in splittings(b, 2):
-            v = table(a1, b1)
+        da = a2.degree
+        for cb, b1, b2, db in b_splits:
+            v = entry((a1, b1))
             if v:
-                sign = -1 if signed and (a2.degree + b2.degree) % 2 else 1
-                w = sign * ca * cb
-                a2b2 = a2 * b2
+                w = -ca * cb if signed and (da + db) % 2 else ca * cb
+                a2b2 = _trusted_monomial(map(add, a2, b2))
                 for m, c in v.terms.items():
-                    bump(out, m * a2b2, w * c)
+                    bump(out, _trusted_monomial(map(add, m, a2b2)),
+                         c if w == 1 else w * c)
     return Poly._trusted(out)
 
 

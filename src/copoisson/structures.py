@@ -126,10 +126,6 @@ class ITable:
                                       for v in row) for row in mat.entries))
             for m, mat in self.rows.items()}), D
 
-    def max_support_degree(self):
-        return max((m.degree for m, mat in self.rows.items()
-                    if not mat.is_zero()), default=-1)
-
 
 @dataclass
 class BracketTable:
@@ -219,11 +215,14 @@ def pmap_from_bracket(B, N):
 
 def make_copoisson(I):
     """Materialize q(a) = I(a_1) Delta(a_2) on all monomials within bound,
-    summed on the int-valued D I and divided by D once."""
+    summed on the int-valued D I and divided by D once.  The rows of D I
+    are turned into 2-tensors once, held in a QMap that q_from_i reads."""
     J, D = I.scaled()
+    DI = QMap(I.d, I.domain_degree_bound,
+              {m: mat.to_tensor2() for m, mat in J.rows.items()})
     assignments = {}
     for m in monomials(I.d, I.domain_degree_bound):
-        v = q_from_i(J, m)
+        v = q_from_i(DI, m)
         if v:
             assignments[m] = v / D
     return QMap(d=I.d, domain_degree_bound=I.domain_degree_bound,
@@ -309,19 +308,6 @@ def series_from_copoisson(I):
         if p:
             f[(i, j)] = p
     return BracketTable(d=I.d, f=f, truncation_degree=I.domain_degree_bound)
-
-
-def is_rational(I):
-    """Whether rows vanish from some degree n <= bound on, and the least such n.
-
-    Only degrees <= the table bound are inspected; a pass certifies the
-    stored data, not behavior beyond the bound.
-    """
-    top = I.max_support_degree()
-    least = top + 1
-    if least <= I.domain_degree_bound:
-        return True, least
-    return False, None
 
 
 def _embed(m, left_pad, right_pad):

@@ -19,7 +19,6 @@ from copoisson.hopf import (
     antipode,
     cocommutator,
     comult,
-    comult2,
     comult_poly,
     counit,
     i_from_q,
@@ -34,6 +33,11 @@ from conftest import random_bracket, random_itable
 
 def mono(*exps):
     return Monomial(exps)
+
+
+def comult2(a):
+    """Delta^(2)(x^a): the trinomial splitting sum in A(x)A(x)A."""
+    return Tensor3._trusted({bce: coeff for coeff, bce in splittings(a, 3)})
 
 
 def test_comult_examples():
