@@ -379,7 +379,10 @@ def cmd_relations(args, out):
 
 # --- entry point ----------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls."""
     ap = argparse.ArgumentParser(
         prog="copoisson",
         description="Check, transform and classify (co)Poisson structures "

@@ -391,9 +391,42 @@ def spec_to_dict(spec):
     }
 
 
+_quote = json.encoder.encode_basestring_ascii
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _json_text(obj, indent):
+    """`obj` as JSON at the given indent; each list or dict is one join over
+    its children's text.  Keys must be strings, as in every document here."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        return ("[\n" + inner
+                + (",\n" + inner).join([_json_text(v, inner) for v in obj])
+                + "\n" + indent + "]")
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        return ("{\n" + inner + (",\n" + inner).join([
+            _quote(k) + ": " + _json_text(v, inner)
+            for k, v in sorted(obj.items())])
+            + "\n" + indent + "}")
+    if obj is None or obj is True or obj is False:
+        return _LITERALS[obj]
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    return json.dumps(obj)  # a float, or the TypeError json raises
+
+
 def dump_json(obj):
-    """Canonical JSON text: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Canonical JSON text: the bytes of json.dumps(obj, indent=2,
+    sort_keys=True) plus a trailing newline (2-space indent, sorted keys,
+    non-ASCII as \\uXXXX), written without json's pure-Python encoder."""
+    return _json_text(obj, "") + "\n"
 
 
 def spec_digest(doc):

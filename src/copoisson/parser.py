@@ -4,10 +4,13 @@ Accepted grammar (no implicit multiplication):
 
     expr    := term (("+" | "-") term)*
     term    := factor ("*" factor)*
-    factor  := atom ("^" integer)?
-    atom    := rational | integer | variable | "(" expr ")" | ("+"|"-") atom
+    factor  := (atom | ("+" | "-") factor) ("^" integer)?
+    atom    := rational | integer | variable | "(" expr ")"
 
 Rational literals like 3/4 are single tokens, not a division operator.
+A term's plain factors (numbers, variables and their integer powers, with
+any unary signs) are read straight into one coefficient and one exponent
+vector; only parenthesized factors are multiplied as polynomials.
 Parentheses and unary signs nest at most MAX_NESTING deep, counted
 together, so that hostile input ends in a ParseError, not a RecursionError.
 """
@@ -17,10 +20,11 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .algebra import Monomial, Poly
+from .algebra import Poly, _trusted_monomial, bump
 
 
 MAX_NESTING = 100
+_ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
 
 
 class ParseError(ValueError):
@@ -99,61 +103,101 @@ class _Parser:
         return p
 
     def expr(self):
-        p = self.term()
+        acc = {}
+        self.term(acc, _ONE)
         while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            rhs = self.term()
-            p = p + rhs if op == "+" else p - rhs
-        return p
+            self.term(acc, _ONE if self.advance()[0] == "+" else _MINUS_ONE)
+        return Poly._trusted(acc)
 
-    def term(self):
-        p = self.factor()
-        while self.peek()[0] == "*":
+    def term(self, acc, sign):
+        """acc += sign * (the next term), in place.  Plain factors multiply
+        into one coefficient and one exponent vector; only the Poly
+        factors of parentheses are multiplied as polynomials."""
+        coeff, exps, poly = sign, [0] * self.d, None
+        while True:
+            f = self.factor()
+            if type(f) is Poly:
+                poly = f if poly is None else poly * f
+            else:
+                c, i, n = f
+                if c is not None:
+                    coeff *= c
+                if i is not None:
+                    exps[i] += n
+            if self.peek()[0] != "*":
+                break
             self.advance()
-            p = p * self.factor()
-        return p
+        mono = _trusted_monomial(exps)
+        if poly is None:
+            bump(acc, mono, coeff)
+        else:
+            for m, c in poly.terms.items():
+                bump(acc, m * mono, c * coeff)
 
     def factor(self):
-        p = self.atom()
-        if self.peek()[0] == "^":
-            caret = self.advance()
-            tok = self.advance()
-            if tok[0] != "num" or tok[1].denominator != 1 or tok[1] < 0:
-                raise ParseError("exponent must be a non-negative integer",
-                                 tok[2] if tok[0] != "end" else caret[2])
-            # repeated squaring: O(log n) products, so x1^999999999 is cheap
-            n = int(tok[1])
-            out = Poly.constant(self.d, 1)
-            while n:
-                if n & 1:
-                    out = out * p
-                n >>= 1
-                if n:
-                    p = p * p
-            return out
-        return p
-
-    def atom(self):
-        kind, value, col = self.advance()
-        if kind == "num":
-            return Poly.constant(self.d, value)
-        if kind == "name":
-            if value not in self.index:
-                raise ParseError(f"unknown identifier {value!r}", col)
-            return Poly.from_monomial(Monomial.variable(self.d, self.index[value]))
-        if kind in ("(", "-", "+"):
+        """A factor with its unary signs and powers: a plain factor as
+        (coefficient or None for 1, variable index or None, exponent), a
+        parenthesized one as a Poly.  Each unary sign opens a level that
+        may take one more power: -x1^2^3 is (-(x1^2))^3."""
+        signs = []
+        while self.peek()[0] in ("+", "-"):
+            kind, _, col = self.advance()
             self.depth += 1
             if self.depth > MAX_NESTING:
                 raise ParseError(
                     f"expression nested deeper than {MAX_NESTING}", col)
-            if kind == "(":
-                p = self.expr()
-                self.expect(")")
-            elif kind == "-":
-                # unary minus binds looser than ^: -x1^2 means -(x1^2)
-                p = -self.factor()
-            else:
-                p = self.factor()
+            signs.append(kind)
+        f = self.power(self.atom())
+        for kind in reversed(signs):
+            if kind == "-":
+                if type(f) is Poly:
+                    f = -f
+                else:
+                    c, i, n = f
+                    f = (-c if c is not None else _MINUS_ONE, i, n)
+            f = self.power(f)
+        self.depth -= len(signs)
+        return f
+
+    def power(self, f):
+        """f ^ n when a power follows: a plain factor's coefficient and
+        exponent are raised directly, a Poly by repeated squaring."""
+        if self.peek()[0] != "^":
+            return f
+        caret = self.advance()
+        tok = self.advance()
+        if tok[0] != "num" or tok[1].denominator != 1 or tok[1] < 0:
+            raise ParseError("exponent must be a non-negative integer",
+                             tok[2] if tok[0] != "end" else caret[2])
+        n = int(tok[1])
+        if type(f) is not Poly:
+            c, i, e = f
+            return (c ** n if c is not None else None, i, e * n)
+        # repeated squaring: O(log n) products
+        out = Poly.constant(self.d, 1)
+        while n:
+            if n & 1:
+                out = out * f
+            n >>= 1
+            if n:
+                f = f * f
+        return out
+
+    def atom(self):
+        kind, value, col = self.advance()
+        if kind == "num":
+            return (value, None, 0)
+        if kind == "name":
+            if value not in self.index:
+                raise ParseError(f"unknown identifier {value!r}", col)
+            return (None, self.index[value], 1)
+        if kind == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(
+                    f"expression nested deeper than {MAX_NESTING}", col)
+            p = self.expr()
+            self.expect(")")
             self.depth -= 1
             return p
         if kind == "end":

@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from copoisson.cli import main
+from copoisson.cli import build_parser, main
 from copoisson.fileformat import dump_json
 
 from conftest import FIXTURES
@@ -131,3 +131,25 @@ def test_chained_transform_is_pinned(tmp_path, fixture, first, second, code,
     mid.write_text(dump_json(json.loads(text)["transforms"][0]["output"]))
     got_code, text2 = run(["transform", str(mid), "--to", second])
     assert (got_code, sha256(text2)) == (code, digest)
+
+
+
+def test_reused_argument_parser_changes_nothing(tmp_path, capsys):
+    # one process, one cached parser: the golden list, then a usage error,
+    # --help and a malformed file, then the golden list in reverse
+    assert build_parser() is build_parser()
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    between = [(["check"], 2), (["relations", "--dim", "x"], 2),
+               (["--help"], 0), (["check", "--help"], 0),
+               (["check", str(bad)], 3),
+               (["transform", str(bad), "--to", "q"], 3)]
+    for args, code, digest in GOLDEN:
+        got_code, text = run(fixture_args(args))
+        assert (got_code, sha256(text)) == (code, digest), args
+    for args, code in between:
+        assert run(args) == (code, ""), args
+    capsys.readouterr()
+    for args, code, digest in reversed(GOLDEN):
+        got_code, text = run(fixture_args(args))
+        assert (got_code, sha256(text)) == (code, digest), args
