@@ -11,7 +11,7 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from copoisson import cli
 from copoisson.fileformat import dump_json, load_spec, spec_to_dict
@@ -42,13 +42,9 @@ trees = st.recursive(
 
 @settings(deadline=None, max_examples=300)
 @given(trees)
+@example({"a": [], "b": {}, "c": ((), [{}]), "d": [True, False, None],
+          "e": 2**64 + 1, "f": -(2**70), "g": "\"\\\x00é😀"})
 def test_generated_trees_match_json_dumps(obj):
-    assert dump_json(obj) == reference(obj)
-
-
-def test_empty_containers_and_literals():
-    obj = {"a": [], "b": {}, "c": ((), [{}]), "d": [True, False, None],
-           "e": 2**64 + 1, "f": -(2**70)}
     assert dump_json(obj) == reference(obj)
 
 

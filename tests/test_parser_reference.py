@@ -7,8 +7,6 @@ library.  On valid text both must give the same terms with the same value
 types; on malformed text, the same ParseError message and column.
 """
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -175,12 +173,6 @@ trees = st.recursive(expressions(plain), nest, max_leaves=6)
 @given(trees)
 def test_expression_trees_match_reference(text):
     assert assert_same(text, VARS)[0] == "ok"
-
-
-def test_value_types_are_fractions():
-    for text in ("x1", "-x1", "2", "x1^0", "(x1)^2", "2^3*x1", "1/2*x1*x1"):
-        for c in parse_poly(text, VARS).terms.values():
-            assert type(c) is Fraction
 
 
 # --- malformed and edge-case text ------------------------------------------
