@@ -4,9 +4,9 @@ A pass is a certificate "verified up to degree N", never a claim about
 all of A.  Witness enumeration is graded-lex so reports are reproducible;
 witness lists are capped with a total-violation count.
 
-The co-side checks run on D q (or D I), the int-valued copy that
-`scaled()` returns; `_scaled_check` divides a witness residual back by D,
-or by D^2 for co-Jacobi, which is quadratic in the table.
+Every check reports through one witness loop, `_check`: the bracket side
+on the table as given, the co-side on the int-valued copy D q (or D I)
+from `scaled()`, with a residual divided back by D (D^2 for co-Jacobi).
 """
 
 from __future__ import annotations
@@ -86,29 +86,6 @@ class CheckReport:
         return d
 
 
-class _Collector:
-    def __init__(self, name, degree):
-        self.name = name
-        self.degree = degree
-        self.witnesses = []
-        self.count = 0
-
-    def violation(self, witness):
-        """Count a violation; witness() formats it, for kept ones only."""
-        self.count += 1
-        if len(self.witnesses) < WITNESS_CAP:
-            self.witnesses.append(witness())
-
-    def report(self):
-        return CheckReport(
-            check_name=self.name,
-            passed=self.count == 0,
-            degree_checked=self.degree,
-            witnesses=self.witnesses,
-            total_violations=self.count,
-        )
-
-
 @lru_cache(maxsize=64)
 def _pairs(d, N):
     """The monomial pairs |a| + |b| <= N in graded-lex order, each unordered
@@ -130,10 +107,26 @@ def _one_based(indices):
     return "(" + ",".join(str(i + 1) for i in indices) + ")"
 
 
+def _check(name, N, keys, residual, describe, render):
+    """The one witness loop: residual(key) at each key in order, a nonzero
+    one being a violation.  All are counted; only the first WITNESS_CAP
+    are formatted, as (describe(key), render(residual))."""
+    witnesses = []
+    count = 0
+    for key in keys:
+        res = residual(key)
+        if res:
+            count += 1
+            if count <= WITNESS_CAP:
+                witnesses.append((describe(key), render(res)))
+    return CheckReport(check_name=name, passed=count == 0, degree_checked=N,
+                       witnesses=witnesses, total_violations=count)
+
+
 def _scaled_check(name, table, N, residual, power=1, need=None,
                   domain=monomials, describe=format_monomial,
                   render=format_tensor):
-    """The witnesses of one co-side identity, run on the int-scaled table.
+    """One co-side identity, run through _check on the int-scaled table.
 
     residual(t, key) is the identity's residual on t = D * table at each
     key of domain(d, N); it is homogeneous of degree `power` in t, so a
@@ -146,13 +139,8 @@ def _scaled_check(name, table, N, residual, power=1, need=None,
         raise DegreeBoundError(f"{what} requires table bound >= {need}, "
                                f"have {table.domain_degree_bound}")
     t, D = table.scaled()
-    col = _Collector(name, N)
-    for key in domain(t.d, N):
-        res = residual(t, key)
-        if res:
-            col.violation(lambda: (describe(key),
-                                   render(res / Fraction(D ** power))))
-    return col.report()
+    return _check(name, N, domain(t.d, N), lambda key: residual(t, key),
+                  describe, lambda res: render(res / Fraction(D ** power)))
 
 
 def check_skew(q, N):
@@ -283,19 +271,16 @@ def check_jacobi(B, N):
 
     Exact in polynomial mode; modulo degree > N in series mode.
     """
-    col = _Collector("jacobi", N)
-    d = B.d
-    for i, j, k in combinations(range(d), 3):
+    def residual(ijk):
+        i, j, k = ijk
         acc = {}
-        for l in range(d):
+        for l in range(B.d):
             axpy(acc, (B.entry(l, k) * B.entry(i, j).partial(l)).terms)
             axpy(acc, (B.entry(l, i) * B.entry(j, k).partial(l)).terms)
             axpy(acc, (B.entry(l, j) * B.entry(k, i).partial(l)).terms)
-        res = B._reduce(Poly._trusted(acc))
-        if res:
-            col.violation(lambda: (f"(i,j,k)={_one_based((i, j, k))}",
-                                   format_poly(res)))
-    return col.report()
+        return B._reduce(Poly._trusted(acc))
+    return _check("jacobi", N, combinations(range(B.d), 3), residual,
+                  lambda ijk: f"(i,j,k)={_one_based(ijk)}", format_poly)
 
 
 def check_poisson_hopf_compat(B, N):
@@ -303,8 +288,9 @@ def check_poisson_hopf_compat(B, N):
     if B.series_mode:
         raise ValueError(
             "Hopf compatibility is defined in polynomial mode only")
-    col = _Collector("poisson-hopf", N)
-    for a, b in _pairs(B.d, N):
+
+    def residual(ab):
+        a, b = ab
         res = dict(comult_poly(bracket_monomials(B, a, b)).terms)
         for ca, (a1, a2) in splittings(a, 2):
             for cb, (b1, b2) in splittings(b, 2):
@@ -315,10 +301,9 @@ def check_poisson_hopf_compat(B, N):
                 a1b1 = a1 * b1
                 for m, c in bracket_monomials(B, a2, b2).terms.items():
                     bump(res, (a1b1, m), w * c)
-        if res:
-            col.violation(lambda: (_format_pair((a, b)),
-                                   format_tensor(Tensor2._trusted(res))))
-    return col.report()
+        return Tensor2._trusted(res)
+    return _check("poisson-hopf", N, _pairs(B.d, N), residual, _format_pair,
+                  format_tensor)
 
 
 def linear_relations(d, base=0):
@@ -336,23 +321,18 @@ def linear_relations(d, base=0):
 
 def check_linear_relations(c):
     """Quadratic relations on structure constants equivalent to Jacobi."""
-    col = _Collector("linear-relations", 1)
-    for ix, terms in linear_relations(c.d):
-        total = sum((c.get(*x) * c.get(*y) for x, y in terms), Fraction(0))
-        if total:
-            col.violation(lambda: (f"(i,j,k,s)={_one_based(ix)}",
-                                   format_coeff(total)))
-    return col.report()
+    return _check(
+        "linear-relations", 1, linear_relations(c.d),
+        lambda rel: sum(c.get(*x) * c.get(*y) for x, y in rel[1]),
+        lambda rel: f"(i,j,k,s)={_one_based(rel[0])}", format_coeff)
 
 
 def check_support_condition(I):
     """Hopf-compatible I-tables vanish off the degree-1 monomials."""
-    col = _Collector("support", I.domain_degree_bound)
-    for m in sorted(I.rows, key=grlex_key):
-        if m.degree != 1 and not I.rows[m].is_zero():
-            col.violation(lambda: (format_monomial(m),
-                                   format_tensor(I.rows[m].to_tensor2())))
-    return col.report()
+    return _check(
+        "support", I.domain_degree_bound,
+        sorted((m for m in I.rows if m.degree != 1), key=grlex_key),
+        lambda m: I.rows[m].to_tensor2(), format_monomial, format_tensor)
 
 
 def check_eps_s_morphisms(B, N, compat=None):
@@ -372,18 +352,18 @@ def check_eps_s_morphisms(B, N, compat=None):
             check_name="eps-s-morphisms", passed=True, degree_checked=N,
             skipped=True,
             note="not applicable: Hopf compatibility fails at this degree")
-    col = _Collector("eps-s-morphisms", N)
-    for a, b in _pairs(B.d, N):
+
+    def residual(ab):
+        a, b = ab
         br = bracket_monomials(B, a, b)
         eps = counit(br)
         # {S(b), S(a)} = (-1)^(|a|+|b|) {b, a} on monomials
         sign = -1 if (a.degree + b.degree) % 2 else 1
         s_res = antipode(br) - bracket_monomials(B, b, a).scale(sign)
-        if eps or s_res:
-            col.violation(lambda: (_format_pair((a, b)),
-                                   f"eps residual = {format_coeff(eps)}; "
-                                   f"S residual = {format_poly(s_res)}"))
-    return col.report()
+        return (eps, s_res) if eps or s_res else None
+    return _check("eps-s-morphisms", N, _pairs(B.d, N), residual, _format_pair,
+                  lambda r: f"eps residual = {format_coeff(r[0])}; "
+                            f"S residual = {format_poly(r[1])}")
 
 
 def check_antipode_coanti(q, N):
@@ -416,35 +396,31 @@ def check_dual_of_abcd(H, qvals):
     Also checks the corollary identity built from Delta^(3).  `qvals` maps
     each basis index to an H(x)H tensor (dict (j,k) -> Fraction).
     """
-    col = _Collector("dual-of-abcd", 0)
-    n = H.dim
-    for c in range(n):
-        lhs = {}
-        rhs = {}
-        for (c1, c2), w in comult_indexed(H, c).items():
-            tensor_concat(lhs, qvals[c1], cocommutator_vec(H, c2), w)
-            tensor_concat(rhs, cocommutator_vec(H, c1), qvals[c2], w)
-        axpy(lhs, rhs, -1)
-        if lhs:
-            col.violation(lambda: (f"basis element {H.basis_names[c]}",
-                                   _format_fin_tensor(H, lhs)))
-        # Corollary: a1(x)a2(x)a3(x)q(a4) - a2(x)a1(x)a3(x)q(a4)
-        #          = q(a1)(x)a2(x)a3(x)a4 - q(a1)(x)a2(x)a4(x)a3.
-        lhs5 = {}
-        rhs5 = {}
-        for (a1, a2, a3, a4), w in comult3_indexed(H, c).items():
-            for (u, v), qw in qvals[a4].items():
-                bump(lhs5, (a1, a2, a3, u, v), w * qw)
-                bump(lhs5, (a2, a1, a3, u, v), -w * qw)
-            for (u, v), qw in qvals[a1].items():
-                bump(rhs5, (u, v, a2, a3, a4), w * qw)
-                bump(rhs5, (u, v, a2, a4, a3), -w * qw)
-        axpy(lhs5, rhs5, -1)
-        if lhs5:
-            col.violation(lambda: (
-                f"basis element {H.basis_names[c]} (corollary identity)",
-                _format_fin_tensor(H, lhs5)))
-    return col.report()
+    def residual(key):
+        c, corollary = key
+        res = {}  # left side minus right side
+        if not corollary:
+            for (c1, c2), w in comult_indexed(H, c).items():
+                tensor_concat(res, qvals[c1], cocommutator_vec(H, c2), w)
+                tensor_concat(res, cocommutator_vec(H, c1), qvals[c2], -w)
+        else:
+            # a1(x)a2(x)a3(x)q(a4) - a2(x)a1(x)a3(x)q(a4)
+            #   = q(a1)(x)a2(x)a3(x)a4 - q(a1)(x)a2(x)a4(x)a3
+            for (a1, a2, a3, a4), w in comult3_indexed(H, c).items():
+                for (u, v), qw in qvals[a4].items():
+                    bump(res, (a1, a2, a3, u, v), w * qw)
+                    bump(res, (a2, a1, a3, u, v), -w * qw)
+                for (u, v), qw in qvals[a1].items():
+                    bump(res, (u, v, a2, a3, a4), -w * qw)
+                    bump(res, (u, v, a2, a4, a3), w * qw)
+        return res
+
+    # each basis element's main identity, then its corollary
+    return _check("dual-of-abcd", 0, product(range(H.dim), (False, True)),
+                  residual,
+                  lambda key: f"basis element {H.basis_names[key[0]]}"
+                              + (" (corollary identity)" if key[1] else ""),
+                  lambda t: _format_fin_tensor(H, t))
 
 
 def _format_fin_tensor(H, t):

@@ -56,24 +56,32 @@ _FACTOR_RE = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)(?:\^([0-9]{1,600}))?")
 def parse_monomial(s, variables, where=""):
     """Factors joined by "*", as format_monomial writes them, are read
     directly; parse_poly accepts or rejects any other text as before."""
-    if isinstance(s, str):
-        index = {name: i for i, name in enumerate(variables)}
-        exps = [0] * len(variables)
-        for f in map(_FACTOR_RE.fullmatch, s.split("*")):
-            if f is None or f[1] not in index:
-                break
-            exps[index[f[1]]] += int(f[2] or 1)
-        else:
-            return Monomial(exps)
-    try:
-        p = parse_poly(s, variables)
-    except ParseError as e:
-        raise SpecFormatError(f"bad monomial {s!r}{where}: {e}") from None
-    items = list(p.terms.items())
-    if len(items) != 1 or items[0][1] != 1:
-        raise SpecFormatError(
-            f"expected a single monomial with coefficient 1{where}, got {s!r}")
-    return items[0][0]
+    return _monomial_reader(variables)(s, where)
+
+
+def _monomial_reader(variables):
+    """parse_monomial on one variable list, its name index built once."""
+    index = {name: i for i, name in enumerate(variables)}
+
+    def read(s, where=""):
+        if isinstance(s, str):
+            exps = [0] * len(variables)
+            for f in map(_FACTOR_RE.fullmatch, s.split("*")):
+                if f is None or f[1] not in index:
+                    break
+                exps[index[f[1]]] += int(f[2] or 1)
+            else:
+                return Monomial(exps)
+        try:
+            p = parse_poly(s, variables)
+        except ParseError as e:
+            raise SpecFormatError(f"bad monomial {s!r}{where}: {e}") from None
+        items = list(p.terms.items())
+        if len(items) != 1 or items[0][1] != 1:
+            raise SpecFormatError(f"expected a single monomial with "
+                                  f"coefficient 1{where}, got {s!r}")
+        return items[0][0]
+    return read
 
 
 @dataclass
@@ -126,12 +134,13 @@ def _decode_copoisson(variables, max_degree, payload):
     _require(isinstance(payload.get("rows"), list),
              "copoisson payload needs a \"rows\" list")
     d = len(variables)
+    monomial = _monomial_reader(variables)
     rows = {}
     for idx, row in enumerate(payload["rows"]):
         where = f" (row {idx + 1})"
         _require(isinstance(row, dict) and "monomial" in row and "lambda" in row,
                  f"each row needs \"monomial\" and \"lambda\"{where}")
-        m = parse_monomial(row["monomial"], variables, where)
+        m = monomial(row["monomial"], where)
         _require(m.degree <= max_degree,
                  f"row monomial {row['monomial']!r} exceeds max_degree{where}")
         _require(m not in rows, f"duplicate row for {row['monomial']!r}{where}")
@@ -213,12 +222,13 @@ def _decode_qmap(variables, max_degree, payload):
     _require(isinstance(payload.get("rows"), list),
              "qmap payload needs a \"rows\" list")
     d = len(variables)
+    monomial = _monomial_reader(variables)
     assignments = {}
     for idx, row in enumerate(payload["rows"]):
         where = f" (row {idx + 1})"
         _require(isinstance(row, dict) and "monomial" in row and "tensor" in row,
                  f"each row needs \"monomial\" and \"tensor\"{where}")
-        m = parse_monomial(row["monomial"], variables, where)
+        m = monomial(row["monomial"], where)
         _require(m.degree <= max_degree,
                  f"row monomial exceeds max_degree{where}")
         _require(m not in assignments, f"duplicate row{where}")
@@ -226,8 +236,7 @@ def _decode_qmap(variables, max_degree, payload):
         for ent in row["tensor"]:
             _require(isinstance(ent, list) and len(ent) == 3,
                      f"tensor entries must be [mono, mono, rational]{where}")
-            u = parse_monomial(ent[0], variables, where)
-            v = parse_monomial(ent[1], variables, where)
+            u, v = monomial(ent[0], where), monomial(ent[1], where)
             _require((u, v) not in terms, f"duplicate tensor entry{where}")
             terms[(u, v)] = parse_rational(ent[2], where)
         t = Tensor2(terms)
@@ -240,6 +249,7 @@ def _decode_pmap(variables, max_degree, payload):
     _require(isinstance(payload.get("rows"), list),
              "pmap payload needs a \"rows\" list")
     d = len(variables)
+    monomial = _monomial_reader(variables)
     assignments = {}
     for idx, row in enumerate(payload["rows"]):
         where = f" (row {idx + 1})"
@@ -248,8 +258,7 @@ def _decode_pmap(variables, max_degree, payload):
         pair = row["pair"]
         _require(isinstance(pair, list) and len(pair) == 2,
                  f"\"pair\" must list two monomials{where}")
-        a = parse_monomial(pair[0], variables, where)
-        b = parse_monomial(pair[1], variables, where)
+        a, b = monomial(pair[0], where), monomial(pair[1], where)
         _require(max(a.degree, b.degree) <= max_degree,
                  f"pair monomials exceed max_degree{where}")
         _require((a, b) not in assignments, f"duplicate pair{where}")

@@ -407,7 +407,7 @@ def test_scaled_tables():
     assert ITable(d=2, domain_degree_bound=1).scaled()[1] == 1
 
 
-def test_only_the_kept_witnesses_are_formatted():
+def test_only_the_kept_witnesses_are_formatted(monkeypatch):
     N = 4
     one = mono(0, 0)
     q = QMap(d=2, domain_degree_bound=N, assignments={
@@ -428,3 +428,13 @@ def test_only_the_kept_witnesses_are_formatted():
     assert got.witnesses == want[:WITNESS_CAP]
     assert got.total_violations == len(want)
     assert got.to_dict() == check_skew(q, N).to_dict()
+
+    # the bracket side: {x1, x2} = x1^2 breaks Hopf compatibility on more
+    # pairs than the cap, and the check renders with format_tensor
+    bad = BracketTable(d=2, f={(0, 1): Poly.from_monomial(mono(2, 0))})
+    reference = check_poisson_hopf_compat(bad, N)
+    assert reference.total_violations > WITNESS_CAP
+    rendered.clear()
+    monkeypatch.setattr("copoisson.checks.format_tensor", render)
+    assert check_poisson_hopf_compat(bad, N).to_dict() == reference.to_dict()
+    assert 0 < len(rendered) <= WITNESS_CAP
