@@ -24,7 +24,6 @@ from .hopf import (
     PMap,
     QMap,
     antipode,
-    cocommutator,
     comult,
     comult_poly,
     counit,
@@ -44,7 +43,6 @@ from .structures import (
     make_copoisson,
     poisson_bracket,
     series_from_copoisson,
-    tensor_copoisson,
     tensor_poisson,
 )
 from .checks import (

@@ -11,7 +11,8 @@ the empty map.  The public constructors coerce outside input to `Fraction`
 and drop zeros; `_Sparse._trusted` wraps, without copying or coercing, a
 dict that already holds only nonzero values.  `int`s come only from
 splitting weights and from the `scaled()` copies of a table.  Sums are
-accumulated in place on plain dicts with `bump` and `axpy`.
+accumulated in place on plain dicts with `bump` and `axpy`, and products
+with Delta(x^c) by the co-side's multiply-by-Delta kernel `hopf.mul_comult`.
 """
 
 from __future__ import annotations
@@ -401,8 +402,9 @@ def tensor3_mul(u, v):
     return Tensor3._trusted(out)
 
 
+@lru_cache(maxsize=64)
 def default_names(d):
-    return [f"x{i + 1}" for i in range(d)]
+    return tuple(f"x{i + 1}" for i in range(d))
 
 
 def format_monomial(m, names=None):

@@ -25,7 +25,6 @@ from .algebra import (
     Tensor3,
     axpy,
     bump,
-    cyclic_sum,
     format_monomial,
     format_poly,
     format_tensor,
@@ -35,7 +34,6 @@ from .algebra import (
     splittings,
     t2_swap,
     t3_cycle,
-    tensor2_mul,
 )
 from .finite import (
     cocommutator_vec,
@@ -51,6 +49,7 @@ from .hopf import (
     counit,
     delta_left,
     delta_right,
+    mul_comult,
     q_left,
     q_outer_left_degree,
     q_right,
@@ -130,8 +129,9 @@ def _scaled_check(name, table, N, residual, power=1, need=None,
 
     residual(t, key) is the identity's residual on t = D * table at each
     key of domain(d, N); it is homogeneous of degree `power` in t, so a
-    witness is the residual divided by D**power.  `need` (default N) is the
-    table bound the check reads; a DegreeBoundError names check_<name>.
+    witness is the residual divided by D**power (kept as is when D == 1).
+    `need` (default N) is the table bound the check reads; a
+    DegreeBoundError names check_<name>.
     """
     need = N if need is None else need
     if need > table.domain_degree_bound:
@@ -140,7 +140,8 @@ def _scaled_check(name, table, N, residual, power=1, need=None,
                                f"have {table.domain_degree_bound}")
     t, D = table.scaled()
     return _check(name, N, domain(t.d, N), lambda key: residual(t, key),
-                  describe, lambda res: render(res / Fraction(D ** power)))
+                  describe, render if D == 1 else
+                  lambda res: render(res / Fraction(D ** power)))
 
 
 def check_skew(q, N):
@@ -172,11 +173,22 @@ def cojacobi_affordable_degree(q):
     return bound
 
 
+def _cojacobi_residual(t, m):
+    """(1 + t3 + t3^2)(t (x) 1) t(m), each term added under its 3 cyclic keys."""
+    out = {}
+    for (u, v), c in t(m).terms.items():
+        for (w1, w2), cq in t(u).terms.items():
+            x = c * cq
+            bump(out, (w1, w2, v), x)
+            bump(out, (v, w1, w2), x)
+            bump(out, (w2, v, w1), x)
+    return Tensor3._trusted(out)
+
+
 def check_cojacobi(q, N):
     """(1 + t3 + t3^2)(q (x) 1) q(a) = 0 for all |a| <= N."""
-    return _scaled_check(
-        "cojacobi", q, N, lambda t, m: cyclic_sum(q_left(t(m), t)),
-        power=2, need=cojacobi_required_bound(q, N))
+    return _scaled_check("cojacobi", q, N, _cojacobi_residual, power=2,
+                         need=cojacobi_required_bound(q, N))
 
 
 COLEIBNIZ_FORMS = ("definition", "form1", "form2")
@@ -226,14 +238,19 @@ def check_counit_kill(q, N):
                          render=_format_counit_kill)
 
 
+def _delta_derivation_residual(t, ab):
+    """t(ab) - t(a) Delta(b) - Delta(a) t(b), summed into one copy of t(ab)."""
+    a, b = ab
+    res = dict(t(a * b).terms)
+    mul_comult(res, t(a), b, -1)
+    mul_comult(res, t(b), a, -1)
+    return Tensor2._trusted(res)
+
+
 def check_delta_derivation(q, N):
     """q(ab) = q(a) Delta(b) + Delta(a) q(b) for all pairs |a|+|b| <= N."""
-    def residual(t, ab):
-        a, b = ab
-        return t(a * b) - (tensor2_mul(t(a), comult(b))
-                           + tensor2_mul(comult(a), t(b)))
-    return _scaled_check("delta-derivation", q, N, residual, domain=_pairs,
-                         describe=_format_pair)
+    return _scaled_check("delta-derivation", q, N, _delta_derivation_residual,
+                         domain=_pairs, describe=_format_pair)
 
 
 def check_cojacobi_coeffs(I, N):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from operator import add
 
@@ -23,14 +24,25 @@ from .algebra import (
     axpy,
     bump,
     splittings,
-    t2_swap,
-    tensor2_mul,
 )
 
 
+@lru_cache(maxsize=4096)
 def comult(a):
-    """Delta(x^a) = sum over b <= a of binom(a, b) x^b (x) x^(a-b)."""
+    """Delta(x^a) = sum over b <= a of binom(a, b) x^b (x) x^(a-b).
+    Memoized: the result is shared, do not mutate it."""
     return Tensor2._trusted({bc: coeff for coeff, bc in splittings(a, 2)})
+
+
+def mul_comult(out, v, c, w=1):
+    """out += w * v Delta(x^c) in place on a plain dict, for a Tensor2 v
+    over the variables of c: each product term is bumped in directly."""
+    for coeff, (c1, c2) in splittings(c, 2):
+        cw = coeff * w
+        for (a, b), cv in v.terms.items():
+            bump(out, (_trusted_monomial(map(add, a, c1)),
+                       _trusted_monomial(map(add, b, c2))),
+                 cv if cw == 1 else cv * cw)
 
 
 def comult_poly(f):
@@ -60,12 +72,6 @@ def antipode_tensor2(t):
     return Tensor2._trusted({
         k: -c if (k[0].degree + k[1].degree) % 2 else c
         for k, c in t.terms.items()})
-
-
-def cocommutator(a):
-    """Delta' = Delta - t2.Delta; identically zero on A (cocommutativity)."""
-    d = comult(a)
-    return d - t2_swap(d)
 
 
 @dataclass
@@ -120,8 +126,7 @@ def _q_i_sum(table, a, signed):
     for coeff, (b, c) in splittings(a, 2):
         v = table(b)
         if v:
-            sign = -1 if signed and c.degree % 2 else 1
-            axpy(out, tensor2_mul(v, comult(c)).terms, sign * coeff)
+            mul_comult(out, v, c, -coeff if signed and c.degree % 2 else coeff)
     return Tensor2._trusted(out)
 
 

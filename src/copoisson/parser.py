@@ -13,17 +13,22 @@ any unary signs) are read straight into one coefficient and one exponent
 vector; only parenthesized factors are multiplied as polynomials.
 Parentheses and unary signs nest at most MAX_NESTING deep, counted
 together, so that hostile input ends in a ParseError, not a RecursionError.
+A power p^n of a sum of t > 1 terms in d variables is refused before the
+first product when its term bound min(C(t+n-1, n), C(d+n*deg p, d)) is
+past MAX_POWER_TERMS.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import comb
 
 from .algebra import Poly, _trusted_monomial, bump
 
 
 MAX_NESTING = 100
+MAX_POWER_TERMS = 128  # (x1 + 7654321/1234567)^127 parses in about 0.2 s
 _ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
 
 
@@ -173,6 +178,11 @@ class _Parser:
         if type(f) is not Poly:
             c, i, e = f
             return (c ** n if c is not None else None, i, e * n)
+        t = len(f.terms)  # f^n of a sum has n + 1 terms or more: no comb
+        if t > 1 and (n >= MAX_POWER_TERMS or MAX_POWER_TERMS < min(
+                comb(t + n - 1, n), comb(self.d + n * f.degree(), self.d))):
+            raise ParseError(f"power of a sum may have more than "
+                             f"{MAX_POWER_TERMS} terms", tok[2])
         # repeated squaring: O(log n) products
         out = Poly.constant(self.d, 1)
         while n:

@@ -24,7 +24,6 @@ from .algebra import (
     bump,
     factorial,
     monomials,
-    splittings,
 )
 from .hopf import PMap, QMap, q_from_i
 
@@ -312,39 +311,6 @@ def series_from_copoisson(I):
 
 def _embed(m, left_pad, right_pad):
     return Monomial((0,) * left_pad + tuple(m) + (0,) * right_pad)
-
-
-def tensor_copoisson(qC, qD):
-    """The cobracket on C(x)D = k[x's, y's] built from two cobrackets.
-
-    q(a.b) = shuffle(qC(a) (x) Delta(b)) + shuffle(Delta(a) (x) qD(b)),
-    under the identification of the monomial a(x)b with the product a.b in
-    the combined variables.
-    """
-    if qC.domain_degree_bound != qD.domain_degree_bound:
-        raise DegreeBoundError(
-            f"bound mismatch: {qC.domain_degree_bound} vs {qD.domain_degree_bound}")
-    d1, d2 = qC.d, qD.d
-    d = d1 + d2
-    M = qC.domain_degree_bound
-    assignments = {}
-    for m in monomials(d, M):
-        a = Monomial(m[:d1])
-        b = Monomial(m[d1:])
-        out = {}
-        for (u, v), cq in qC(a).terms.items():
-            for cb, (b1, b2) in splittings(b, 2):
-                key = (_embed(u, 0, d2) * _embed(b1, d1, 0),
-                       _embed(v, 0, d2) * _embed(b2, d1, 0))
-                bump(out, key, cq * cb)
-        for ca, (a1, a2) in splittings(a, 2):
-            for (u, v), cq in qD(b).terms.items():
-                key = (_embed(a1, 0, d2) * _embed(u, d1, 0),
-                       _embed(a2, 0, d2) * _embed(v, d1, 0))
-                bump(out, key, ca * cq)
-        if out:
-            assignments[m] = Tensor2._trusted(out)
-    return QMap(d=d, domain_degree_bound=M, assignments=assignments)
 
 
 def tensor_poisson(BA, BB):

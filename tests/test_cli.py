@@ -215,6 +215,17 @@ def test_deeply_nested_expression_exits_3(tmp_path, capsys):
     assert "nested deeper" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("power", ["(x1 + 1)^4000", "(x1 + x2 + 1)^32"])
+def test_power_past_the_term_limit_exits_3(tmp_path, capsys, power):
+    p = tmp_path / "power.json"
+    p.write_text(dump_json({
+        "kind": "poisson", "variables": ["x1", "x2"], "max_degree": 2,
+        "payload": {"brackets": {"1,2": power}, "mode": "polynomial"}}))
+    code, text, err = run_stderr(["check", str(p)], capsys)
+    assert (code, text) == (3, "")
+    assert "power of a sum" in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("text, message", [
     (dump_json({"kind": "poisson", "variables": ["x1", "x2"], "max_degree": 2,
                 "payload": {"brackets": {"1,2": "x1^" + "9" * 5000},

@@ -17,7 +17,6 @@ from copoisson.hopf import (
     PMap,
     QMap,
     antipode,
-    cocommutator,
     comult,
     comult_poly,
     counit,
@@ -26,9 +25,20 @@ from copoisson.hopf import (
     p_from_j,
     q_from_i,
 )
+from copoisson.checks import (
+    check_antipode_coanti,
+    check_cojacobi,
+    check_cojacobi_coeffs,
+    check_coleibniz,
+    check_counit_kill,
+    check_delta_derivation,
+    check_skew,
+    check_support_condition,
+    cojacobi_affordable_degree,
+)
 from copoisson.structures import ITable, SkewMatrix, make_copoisson
 
-from conftest import random_bracket, random_itable
+from conftest import cocommutator, random_bracket, random_itable
 
 
 def mono(*exps):
@@ -250,3 +260,29 @@ def test_comult_poly_linearity():
     expect = comult(mono(1, 0)).scale(2) + comult(mono(0, 2)).scale(
         Fraction(-1, 3))
     assert comult_poly(p) == expect
+
+
+def test_shared_comult_is_never_mutated(rng):
+    # comult is memoized, so every caller reads the same Tensor2
+    snapshot = {m: dict(comult(m).terms) for m in monomials(3, 3)}
+    for m, terms in snapshot.items():
+        assert terms == {bc: c for c, bc in splittings(m, 2)}
+    I = random_itable(rng, 3, 3, density=0.6)
+    q = make_copoisson(I)
+    for m in monomials(3, 3):
+        assert i_from_q(q, m) == I(m)
+    check_skew(q, 3)
+    check_counit_kill(q, 3)
+    for form in ("definition", "form1", "form2"):
+        check_coleibniz(q, 3, form)
+    check_cojacobi(q, cojacobi_affordable_degree(q))
+    check_cojacobi_coeffs(I, 2)
+    check_delta_derivation(q, 3)
+    check_antipode_coanti(q, 3)
+    check_support_condition(I)
+    for m in monomials(3, 3):
+        comult_poly(Poly.from_monomial(m, 3))
+        cocommutator(m)
+    for m, terms in snapshot.items():
+        assert comult(m).terms == terms
+        assert comult(m) is comult(m)

@@ -1,7 +1,9 @@
-"""Property tests for the sparse accumulation kernel and `splittings`.
+"""Property tests for the sparse accumulation kernel, `splittings` and
+the fused co-side kernels.
 
-Every operation is compared with a naive dict reference, and no result
-may store a zero coefficient.
+Every operation is compared with a naive dict reference, or with the
+composition of tensor products it replaces, and no result may store a
+zero coefficient.
 """
 
 from collections.abc import Iterator
@@ -17,8 +19,12 @@ from copoisson.algebra import (
     Tensor3,
     axpy,
     bump,
+    cyclic_sum,
     splittings,
+    tensor2_mul,
 )
+from copoisson.checks import _cojacobi_residual, _delta_derivation_residual
+from copoisson.hopf import QMap, comult, mul_comult, q_left
 
 D = 2
 
@@ -116,3 +122,57 @@ def test_splittings_are_stable_iterators(m, k):
             for f in factors:
                 weight //= factorial(f[j])
         assert type(c) is int and c == weight
+
+
+# --- the fused co-side kernels, against the compositions they replace ------
+# Tables hold Fraction values, as the public q does, or int values, as the
+# scaled copies the checks run on do.  A monomial drawn has degree at most
+# D * 3, so every q-value a residual reads lies within the tables' bound.
+
+ints = st.integers(-3, 3)
+
+
+def tensors(vals):
+    return st.dictionaries(st.tuples(monos, monos), vals, max_size=6).map(
+        lambda t: Tensor2._trusted({k: v for k, v in t.items() if v}))
+
+
+def tables(vals):
+    return st.dictionaries(monos, tensors(vals), max_size=5).map(
+        lambda a: QMap(D, 2 * D * 3, a))
+
+
+def kernel_clean(terms):
+    return all(type(v) in (int, Fraction) and v for v in terms.values())
+
+
+@settings(deadline=None)
+@given(st.one_of(st.tuples(tensors(coeffs), tensors(coeffs)),
+                 st.tuples(tensors(ints), tensors(ints))),
+       monos, st.integers(-3, 3))
+def test_mul_comult_matches_tensor_product(outv, c, w):
+    out, v = outv
+    want = dict(out.terms)
+    axpy(want, tensor2_mul(v, comult(c)).terms, w)
+    got = dict(out.terms)
+    mul_comult(got, v, c, w)
+    assert got == want
+    assert kernel_clean(got)
+
+
+@settings(deadline=None)
+@given(st.one_of(tables(coeffs), tables(ints)), monos)
+def test_cojacobi_residual_matches_cyclic_sum(t, m):
+    got = _cojacobi_residual(t, m)
+    assert got.terms == cyclic_sum(q_left(t(m), t)).terms
+    assert kernel_clean(got.terms)
+
+
+@settings(deadline=None)
+@given(st.one_of(tables(coeffs), tables(ints)), monos, monos)
+def test_delta_derivation_residual_matches_tensor_products(t, a, b):
+    got = _delta_derivation_residual(t, (a, b))
+    want = t(a * b) - (tensor2_mul(t(a), comult(b))
+                       + tensor2_mul(comult(a), t(b)))
+    assert got.terms == want.terms
+    assert kernel_clean(got.terms)

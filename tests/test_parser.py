@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from copoisson.algebra import Monomial, Poly, format_monomial, format_poly
 from copoisson.fileformat import SpecFormatError, parse_monomial
-from copoisson.parser import MAX_NESTING, ParseError, parse_poly
+from copoisson.parser import MAX_NESTING, MAX_POWER_TERMS, ParseError, parse_poly
 
 
 VARS2 = ["x1", "x2"]
@@ -120,6 +120,28 @@ def test_nesting_limit():
     with pytest.raises(ParseError, match="nested deeper") as exc:
         parse_poly(over, VARS2)
     assert exc.value.column == MAX_NESTING + 1
+
+
+def test_power_limit():
+    # (x1 + 1)^n has n + 1 terms; (x1 + x2 + x3 + 1)^n has C(n + 3, 3)
+    last = MAX_POWER_TERMS - 1
+    assert len(parse_poly(f"(x1 + 1)^{last}", VARS2).terms) == last + 1
+    for text, column in [(f"(x1 + 1)^{last + 1}", 10), ("(x1 + 1)^4000", 10),
+                         ("(x1 + x2 + x3 + 1)^32", 20),
+                         ("(x1 + x2 + x3 + 1)^8", 20),
+                         ("x1 + -(x1 - 1)^2^64", 18)]:
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="power of a sum") as exc:
+            parse_poly(text, VARS3)
+        assert time.perf_counter() - start < 0.1, text
+        assert exc.value.column == column, text
+    assert len(parse_poly("(x1 + x2 + x3 + 1)^7", VARS3).terms) == 120
+    # plain factors and one-term bases keep their direct path
+    assert parse_poly("2^40*x1^999999", VARS2) == Poly.from_monomial(
+        Monomial((999999, 0)), 2 ** 40)
+    assert parse_poly("(x1 + x2 - x2)^4000", VARS2) == Poly.from_monomial(
+        Monomial((4000, 0)))
+    assert parse_poly("(x1 - x1)^4000", VARS2).is_zero()
 
 
 NAMES = st.lists(st.from_regex(r"[A-Za-z_][A-Za-z_0-9]{0,3}", fullmatch=True),

@@ -7,11 +7,14 @@ library.  On valid text both must give the same terms with the same value
 types; on malformed text, the same ParseError message and column.
 """
 
+from math import comb
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from copoisson.algebra import Monomial, Poly, format_poly
-from copoisson.parser import MAX_NESTING, ParseError, _tokenize, parse_poly
+from copoisson.parser import (
+    MAX_NESTING, MAX_POWER_TERMS, ParseError, _tokenize, parse_poly)
 
 from conftest import random_poly
 
@@ -72,6 +75,13 @@ class ReferenceParser:
                 raise ParseError("exponent must be a non-negative integer",
                                  tok[2] if tok[0] != "end" else caret[2])
             n = int(tok[1])
+            # the documented power limit, on the same base and exponent
+            t = len(p.terms)
+            if t > 1 and (n >= MAX_POWER_TERMS or min(
+                    comb(t + n - 1, n),
+                    comb(self.d + n * p.degree(), self.d)) > MAX_POWER_TERMS):
+                raise ParseError(f"power of a sum may have more than "
+                                 f"{MAX_POWER_TERMS} terms", tok[2])
             out = Poly.constant(self.d, 1)
             while n:
                 if n & 1:
@@ -189,6 +199,9 @@ EDGE = [
     "-(" * (MAX_NESTING // 2) + "x1" + ")" * (MAX_NESTING // 2),
     "-(" * (MAX_NESTING // 2) + "-x1" + ")" * (MAX_NESTING // 2),
     "x1*(" + "-" * MAX_NESTING + "x2)",
+    "(x1 + 1)^127", "(x1 + 1)^128", "-(x1 - 1)^4000", "(x1 + x2 + x3 + 1)^7",
+    "(x1 + x2 + x3 + 1)^8", "(x1 - x1)^4000", "(x1 + x2 - x2)^4000",
+    "(x1^50 + 1)^100", "-(x1 + 1)^2^100", "(x1 + 1)^" + "9" * 100,
 ]
 
 

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import copoisson.checks
-from copoisson.algebra import Monomial, Poly, Tensor2, monomials
+from copoisson.algebra import (
+    Monomial, Poly, Tensor2, bump, monomials, splittings)
+from copoisson.hopf import QMap
 from copoisson.structures import (
     BracketTable,
     ITable,
@@ -17,7 +19,6 @@ from copoisson.structures import (
     make_copoisson,
     poisson_bracket,
     series_from_copoisson,
-    tensor_copoisson,
     tensor_poisson,
 )
 from copoisson.checks import (
@@ -286,6 +287,34 @@ def test_tensor_poisson_blocks():
     for i in range(3):
         for j in range(3, 5):
             assert T.entry(i, j).is_zero()
+
+
+def embed(m, left_pad, right_pad):
+    return Monomial((0,) * left_pad + tuple(m) + (0,) * right_pad)
+
+
+def tensor_copoisson(qC, qD):
+    """The cobracket on C(x)D = k[x's, y's] built from two cobrackets of
+    one bound: q(a.b) = shuffle(qC(a) (x) Delta(b)) + shuffle(Delta(a)
+    (x) qD(b)), the monomial a(x)b read as the product a.b in the
+    combined variables."""
+    d1, d2 = qC.d, qD.d
+    M = qC.domain_degree_bound
+    assignments = {}
+    for m in monomials(d1 + d2, M):
+        a, b = Monomial(m[:d1]), Monomial(m[d1:])
+        out = {}
+        for (u, v), cq in qC(a).terms.items():
+            for cb, (b1, b2) in splittings(b, 2):
+                bump(out, (embed(u, 0, d2) * embed(b1, d1, 0),
+                           embed(v, 0, d2) * embed(b2, d1, 0)), cq * cb)
+        for ca, (a1, a2) in splittings(a, 2):
+            for (u, v), cq in qD(b).terms.items():
+                bump(out, (embed(a1, 0, d2) * embed(u, d1, 0),
+                           embed(a2, 0, d2) * embed(v, d1, 0)), ca * cq)
+        if out:
+            assignments[m] = Tensor2._trusted(out)
+    return QMap(d=d1 + d2, domain_degree_bound=M, assignments=assignments)
 
 
 def test_tensor_copoisson_axioms(rng):
