@@ -174,7 +174,7 @@ def cojacobi_affordable_degree(q):
 
 
 def _cojacobi_residual(t, m):
-    """(1 + t3 + t3^2)(t (x) 1) t(m), each term added under its 3 cyclic keys."""
+    """(1 + t3 + t3^2)(t (x) 1) t(m), each term bumped under 3 cyclic keys."""
     out = {}
     for (u, v), c in t(m).terms.items():
         for (w1, w2), cq in t(u).terms.items():

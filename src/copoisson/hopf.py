@@ -34,7 +34,7 @@ def comult(a):
     return Tensor2._trusted({bc: coeff for coeff, bc in splittings(a, 2)})
 
 
-def mul_comult(out, v, c, w=1):
+def mul_comult(out, v, c, w):
     """out += w * v Delta(x^c) in place on a plain dict, for a Tensor2 v
     over the variables of c: each product term is bumped in directly."""
     for coeff, (c1, c2) in splittings(c, 2):

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from copoisson.algebra import Monomial, Poly, format_monomial, format_poly
 from copoisson.fileformat import SpecFormatError, parse_monomial
-from copoisson.parser import MAX_NESTING, MAX_POWER_TERMS, ParseError, parse_poly
+from copoisson.parser import (
+    MAX_NESTING, MAX_POWER_TERMS, ParseError, parse_poly)
 
 
 VARS2 = ["x1", "x2"]
