@@ -24,6 +24,7 @@ from .hopf import (
     PMap,
     QMap,
     antipode,
+    cocommutator,
     comult,
     comult_poly,
     counit,

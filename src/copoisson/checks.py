@@ -129,9 +129,8 @@ def _scaled_check(name, table, N, residual, power=1, need=None,
 
     residual(t, key) is the identity's residual on t = D * table at each
     key of domain(d, N); it is homogeneous of degree `power` in t, so a
-    witness is the residual divided by D**power (kept as is when D == 1).
-    `need` (default N) is the table bound the check reads; a
-    DegreeBoundError names check_<name>.
+    witness is the residual divided by D**power.  `need` (default N) is the
+    table bound the check reads; a DegreeBoundError names check_<name>.
     """
     need = N if need is None else need
     if need > table.domain_degree_bound:
@@ -140,8 +139,7 @@ def _scaled_check(name, table, N, residual, power=1, need=None,
                                f"have {table.domain_degree_bound}")
     t, D = table.scaled()
     return _check(name, N, domain(t.d, N), lambda key: residual(t, key),
-                  describe, render if D == 1 else
-                  lambda res: render(res / Fraction(D ** power)))
+                  describe, lambda res: render(res / Fraction(D ** power)))
 
 
 def check_skew(q, N):

@@ -24,6 +24,7 @@ from .algebra import (
     axpy,
     bump,
     splittings,
+    t2_swap,
 )
 
 
@@ -72,6 +73,12 @@ def antipode_tensor2(t):
     return Tensor2._trusted({
         k: -c if (k[0].degree + k[1].degree) % 2 else c
         for k, c in t.terms.items()})
+
+
+def cocommutator(a):
+    """Delta' = Delta - t2.Delta; identically zero on A (cocommutativity)."""
+    d = comult(a)
+    return d - t2_swap(d)
 
 
 @dataclass

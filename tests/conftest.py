@@ -11,19 +11,10 @@ from copoisson import (
     Poly,
     SkewMatrix,
     StructConsts,
-    comult,
     monomials,
-    t2_swap,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
-
-
-def cocommutator(a):
-    """Delta' = Delta - t2.Delta on x^a; identically zero on A, which is
-    cocommutative."""
-    d = comult(a)
-    return d - t2_swap(d)
 
 
 def random_fraction(rng, span=4, max_den=3):

@@ -265,7 +265,7 @@ def test_acceptance_8_structural_lemma_suites():
         qv = qvals_from_vector(H, cf.member(params))
         if not check_dual_of_abcd(H, qv).passed:
             ok = False
-    from conftest import cocommutator
+    from copoisson.hopf import cocommutator
     if any(cocommutator(m) for m in monomials(2, 6)):
         ok = False
     # four-part splitting identity for all monomials of degree <= 6

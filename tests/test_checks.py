@@ -287,7 +287,7 @@ def test_in_skew_generator_space_direct():
 def test_dual_of_abcd_trivial_on_polynomials():
     # on the polynomial algebra the cocommutator vanishes, so both sides
     # of the identity are zero; spot-check the ingredient directly
-    from conftest import cocommutator
+    from copoisson.hopf import cocommutator
     for m in monomials(2, 4):
         assert cocommutator(m).is_zero()
 

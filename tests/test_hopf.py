@@ -17,6 +17,7 @@ from copoisson.hopf import (
     PMap,
     QMap,
     antipode,
+    cocommutator,
     comult,
     comult_poly,
     counit,
@@ -38,7 +39,7 @@ from copoisson.checks import (
 )
 from copoisson.structures import ITable, SkewMatrix, make_copoisson
 
-from conftest import cocommutator, random_bracket, random_itable
+from conftest import random_bracket, random_itable
 
 
 def mono(*exps):

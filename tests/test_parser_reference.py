@@ -4,10 +4,12 @@ The reference below is the parser as it was before terms were read
 directly: every factor a Poly, every term a chain of Poly products, every
 expression a chain of Poly sums.  It shares only the tokenizer with the
 library.  On valid text both must give the same terms with the same value
-types; on malformed text, the same ParseError message and column.
+types; on malformed text, the same ParseError message and column.  The
+reference applies the documented limit on powers of sums by counting,
+not through the library's binomials.
 """
 
-from math import comb
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +22,33 @@ from conftest import random_poly
 
 
 # --- reference -------------------------------------------------------------
+
+def saturated_counts(items, size, cap):
+    """[number of multisets of k out of `items` things for k <= size], each
+    counted by prefix sums over the things and held at `cap`."""
+    row = [1] + [0] * size
+    for _ in range(items):
+        total, out = 0, []
+        for ways in row:
+            total = min(total + ways, cap)
+            out.append(total)
+        row = out
+    return row
+
+
+def past_power_limit(t, n, d, deg):
+    """The documented limit on a power p^n of a sum of t > 1 terms of
+    degree deg in d variables, counted rather than taken from binomials:
+    refused when both the products of n of its terms (multisets) and the
+    monomials of degree <= n*deg outnumber MAX_POWER_TERMS.  Both counts
+    grow with the exponent and pass the limit by the time it reaches
+    MAX_POWER_TERMS, so counting stops there."""
+    cap = MAX_POWER_TERMS + 1
+    n, top = min(n, MAX_POWER_TERMS), min(n * deg, MAX_POWER_TERMS)
+    products = saturated_counts(t, n, cap)[n]
+    monomials = min(sum(saturated_counts(d, top, cap)), cap)
+    return min(products, monomials) >= cap
+
 
 class ReferenceParser:
     def __init__(self, src, variables):
@@ -75,11 +104,8 @@ class ReferenceParser:
                 raise ParseError("exponent must be a non-negative integer",
                                  tok[2] if tok[0] != "end" else caret[2])
             n = int(tok[1])
-            # the documented power limit, on the same base and exponent
-            t = len(p.terms)
-            if t > 1 and (n >= MAX_POWER_TERMS or min(
-                    comb(t + n - 1, n),
-                    comb(self.d + n * p.degree(), self.d)) > MAX_POWER_TERMS):
+            if len(p.terms) > 1 and past_power_limit(
+                    len(p.terms), n, self.d, p.degree()):
                 raise ParseError(f"power of a sum may have more than "
                                  f"{MAX_POWER_TERMS} terms", tok[2])
             out = Poly.constant(self.d, 1)
@@ -187,6 +213,18 @@ def test_expression_trees_match_reference(text):
 
 # --- malformed and edge-case text ------------------------------------------
 
+QUADRATIC = "(1 + x1 + x2 + x3 + x1^2 + x2^2 + x3^2 + x1*x2 + x1*x3 + x2*x3)"
+
+
+def test_reference_counts_are_multisets():
+    for items in range(5):
+        counts = saturated_counts(items, 5, 10 ** 6)
+        assert counts == [
+            len(list(combinations_with_replacement(range(items), k)))
+            for k in range(6)]
+    assert saturated_counts(3, 40, 129)[40] == 129
+
+
 EDGE = [
     "x1^", "x1^-1", "x1^1/2", "x1^2^3", "2^3*x1", "-x1^2", "-x1^2^3",
     "+x1^2^3", "--x1^2^3^4", "(x1+1)^3*x2", "x1 + y", "y^2", "x1*y",
@@ -202,6 +240,9 @@ EDGE = [
     "(x1 + 1)^127", "(x1 + 1)^128", "-(x1 - 1)^4000", "(x1 + x2 + x3 + 1)^7",
     "(x1 + x2 + x3 + 1)^8", "(x1 - x1)^4000", "(x1 + x2 - x2)^4000",
     "(x1^50 + 1)^100", "-(x1 + 1)^2^100", "(x1 + 1)^" + "9" * 100,
+    "(x1 + x2 + 1)^14", "(x1 + x2 + 1)^15",
+    # ten terms of degree <= 2: the monomial count (84, then 165) decides
+    QUADRATIC + "^3", QUADRATIC + "^4",
 ]
 
 
