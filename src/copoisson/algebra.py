@@ -402,8 +402,9 @@ def tensor3_mul(u, v):
     return Tensor3._trusted(out)
 
 
+@lru_cache(maxsize=64)
 def default_names(d):
-    return [f"x{i + 1}" for i in range(d)]
+    return tuple(f"x{i + 1}" for i in range(d))
 
 
 def format_monomial(m, names=None):
