@@ -13,6 +13,7 @@ from copoisson.checks import (
     WITNESS_CAP,
     check_dual_of_abcd,
     check_jacobi,
+    check_poisson_hopf_compat,
     check_support_condition,
 )
 from copoisson.finite import sweedler_h4
@@ -127,5 +128,93 @@ def test_support_report_past_the_witness_cap():
             {"input": "x1^3*x2", "residual": "5/2*x1(x)x2 - 5/2*x2(x)x1"},
             {"input": "x1^2*x2^2",
              "residual": "5/2*x1(x)x2 - 5/2*x2(x)x1"},
+        ],
+    }
+
+
+# Brackets with coefficients over 2 and 3: the lcm of their denominators
+# is 6 and every witness below has a fractional coefficient, so the pins
+# fix how a check on an int-scaled table divides its witnesses back.
+
+def sixths_bracket(truncation):
+    x1, x2, x3, x4 = (Poly.from_monomial(Monomial.variable(4, i))
+                      for i in range(4))
+    f = {(0, 1): Fraction(1, 2) * x3 * x3 + Fraction(1, 3) * x1 * x4,
+         (1, 2): Fraction(2, 3) * x1 + Fraction(1, 2) * x2 * x4,
+         (0, 2): Fraction(1, 3) * x2 * x2,
+         (2, 3): Fraction(1, 2) * x1 * x2,
+         (0, 3): Fraction(1, 2) * x3}
+    return BracketTable(d=4, f=f, truncation_degree=truncation)
+
+
+def test_jacobi_report_with_fractional_witnesses():
+    assert check_jacobi(sixths_bracket(None), 3).to_dict() == {
+        "check": "jacobi",
+        "degree_checked": 3,
+        "passed": False,
+        "total_violations": 4,
+        "witnesses": [
+            {"input": "(i,j,k)=(1,2,3)",
+             "residual": "-1/4*x2*x3 - 1/6*x1^2*x2 - 1/6*x1*x4^2 "
+                         "+ 1/9*x2^2*x4 - 1/4*x3^2*x4"},
+            {"input": "(i,j,k)=(1,2,4)",
+             "residual": "1/3*x1 + 1/4*x2*x4 + 1/6*x3*x4 + 1/2*x1*x2*x3"},
+            {"input": "(i,j,k)=(1,3,4)",
+             "residual": "-1/6*x1^2*x4 - 1/4*x1*x3^2"},
+            {"input": "(i,j,k)=(2,3,4)",
+             "residual": "1/3*x3 + 1/6*x1*x2*x4 + 1/4*x2*x3^2"},
+        ],
+    }
+
+
+def test_series_jacobi_report_with_fractional_witnesses():
+    assert check_jacobi(sixths_bracket(2), 2).to_dict() == {
+        "check": "jacobi",
+        "degree_checked": 2,
+        "passed": False,
+        "total_violations": 3,
+        "witnesses": [
+            {"input": "(i,j,k)=(1,2,3)", "residual": "-1/4*x2*x3"},
+            {"input": "(i,j,k)=(1,2,4)",
+             "residual": "1/3*x1 + 1/4*x2*x4 + 1/6*x3*x4"},
+            {"input": "(i,j,k)=(2,3,4)", "residual": "1/3*x3"},
+        ],
+    }
+
+
+def test_poisson_hopf_report_with_fractional_witnesses():
+    x1, x2 = (Poly.from_monomial(Monomial.variable(2, i)) for i in range(2))
+    B = BracketTable(d=2, f={(0, 1): Fraction(1, 2) * x1 * x1
+                             + Fraction(1, 3) * x2 * x2 * x1
+                             + Fraction(2, 3) * x2})
+    assert check_poisson_hopf_compat(B, 3).to_dict() == {
+        "check": "poisson-hopf",
+        "degree_checked": 3,
+        "passed": False,
+        "total_violations": 5,
+        "witnesses": [
+            {"input": "(x1, x2)",
+             "residual": "x1(x)x1 + 1/3*x1(x)x2^2 + 2/3*x2(x)x1*x2 "
+                         "+ 2/3*x1*x2(x)x2 + 1/3*x2^2(x)x1"},
+            {"input": "(x1, x1*x2)",
+             "residual": "x1(x)x1^2 + 1/3*x1(x)x1*x2^2 + 2/3*x2(x)x1^2*x2 "
+                         "+ x1^2(x)x1 + 1/3*x1^2(x)x2^2 "
+                         "+ 4/3*x1*x2(x)x1*x2 + 1/3*x2^2(x)x1^2 "
+                         "+ 2/3*x1^2*x2(x)x2 + 1/3*x1*x2^2(x)x1"},
+            {"input": "(x1, x2^2)",
+             "residual": "2*x1(x)x1*x2 + 2/3*x1(x)x2^3 + 4/3*x2(x)x1*x2^2 "
+                         "+ 2*x1*x2(x)x1 + 2*x1*x2(x)x2^2 "
+                         "+ 2*x2^2(x)x1*x2 + 4/3*x1*x2^2(x)x2 "
+                         "+ 2/3*x2^3(x)x1"},
+            {"input": "(x2, x1^2)",
+             "residual": "-2*x1(x)x1^2 - 2/3*x1(x)x1*x2^2 "
+                         "- 4/3*x2(x)x1^2*x2 - 2*x1^2(x)x1 "
+                         "- 2/3*x1^2(x)x2^2 - 8/3*x1*x2(x)x1*x2 "
+                         "- 2/3*x2^2(x)x1^2 - 4/3*x1^2*x2(x)x2 "
+                         "- 2/3*x1*x2^2(x)x1"},
+            {"input": "(x2, x1*x2)",
+             "residual": "-x1(x)x1*x2 - 1/3*x1(x)x2^3 - 2/3*x2(x)x1*x2^2 "
+                         "- x1*x2(x)x1 - x1*x2(x)x2^2 - x2^2(x)x1*x2 "
+                         "- 2/3*x1*x2^2(x)x2 - 1/3*x2^3(x)x1"},
         ],
     }
