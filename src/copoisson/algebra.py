@@ -311,9 +311,9 @@ class Poly(_Sparse):
         return Poly._trusted(out)
 
     def truncate(self, max_degree):
-        """Drop all terms of degree > max_degree."""
-        return Poly({m: c for m, c in self.terms.items()
-                     if m.degree <= max_degree})
+        """Drop all terms of degree > max_degree; values keep their type."""
+        return Poly._trusted({m: c for m, c in self.terms.items()
+                              if m.degree <= max_degree})
 
 
 class Tensor2(_Sparse):

@@ -4,9 +4,10 @@ A pass is a certificate "verified up to degree N", never a claim about
 all of A.  Witness enumeration is graded-lex so reports are reproducible;
 witness lists are capped with a total-violation count.
 
-Every check reports through one witness loop, `_check`: the bracket side
-on the table as given, the co-side on the int-valued copy D q (or D I)
-from `scaled()`, with a residual divided back by D (D^2 for co-Jacobi).
+Every check reports through one witness loop, `_check`.  The co-side and
+the bracket side (Jacobi, Hopf compatibility, eps/S) run on the int-valued
+copy D q, D I or D B from `scaled()`, and only a rendered witness is
+divided back by D (D^2 for Jacobi and co-Jacobi).
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .algebra import (
     monomials,
     splittings,
     t2_swap,
-    t3_cycle,
 )
 from .finite import (
     cocommutator_vec,
@@ -47,12 +47,8 @@ from .hopf import (
     comult,
     comult_poly,
     counit,
-    delta_left,
-    delta_right,
     mul_comult,
-    q_left,
     q_outer_left_degree,
-    q_right,
 )
 from .structures import bracket_monomials
 
@@ -125,15 +121,16 @@ def _check(name, N, keys, residual, describe, render):
 def _scaled_check(name, table, N, residual, power=1, need=None,
                   domain=monomials, describe=format_monomial,
                   render=format_tensor):
-    """One co-side identity, run through _check on the int-scaled table.
+    """One identity, run through _check on the int-scaled table.
 
     residual(t, key) is the identity's residual on t = D * table at each
     key of domain(d, N); it is homogeneous of degree `power` in t, so a
-    witness is the residual divided by D**power.  `need` (default N) is the
-    table bound the check reads; a DegreeBoundError names check_<name>.
+    witness is the residual divided by D**power.  On the co-side `need`
+    (default N) is the table bound the check reads, and a DegreeBoundError
+    names check_<name>; a BracketTable has no such bound.
     """
     need = N if need is None else need
-    if need > table.domain_degree_bound:
+    if need > getattr(table, "domain_degree_bound", need):
         what = "check_" + name.partition("[")[0].replace("-", "_")
         raise DegreeBoundError(f"{what} requires table bound >= {need}, "
                                f"have {table.domain_degree_bound}")
@@ -202,21 +199,31 @@ def check_coleibniz(q, N, form="definition"):
     """
     if form not in COLEIBNIZ_FORMS:
         raise ValueError(f"unknown co-Leibniz form {form!r}")
+    return _scaled_check(f"coleibniz[{form}]", q, N,
+                         lambda t, m: _coleibniz_residual(form, t, m))
 
-    def residual(t, m):
-        dm = comult(m)
-        if form == "definition":
-            lhs = delta_left(t(m))
-            rhs = q_right(dm, t) - t3_cycle(t3_cycle(q_left(dm, t)))
-        elif form == "form1":
-            lhs = delta_right(t(m))
-            rhs = q_left(dm, t) - t3_cycle(q_right(dm, t))
-        else:
-            lhs = delta_left(t(m))
-            r = q_right(dm, t)
-            rhs = r - t3_cycle(r)
-        return lhs - rhs
-    return _scaled_check(f"coleibniz[{form}]", q, N, residual)
+
+def _coleibniz_residual(form, t, m):
+    """lhs - rhs of one co-Leibniz form, summed into one dict: each term of
+    (Delta (x) 1) t(m) (form1: (1 (x) Delta) t(m)), of (1 (x) t) Delta(m)
+    and of (t (x) 1) Delta(m) is bumped under its own, t3 or t3^2 key."""
+    out, form1 = {}, form == "form1"
+    for (u, v), c in t(m).terms.items():
+        for (w1, w2), cd in comult(v if form1 else u).terms.items():
+            bump(out, (u, w1, w2) if form1 else (w1, w2, v), c * cd)
+    for (a, b), cd in comult(m).terms.items():
+        for (w1, w2), cq in t(b).terms.items():  # (1 (x) t) Delta(m)
+            if not form1:
+                bump(out, (a, w1, w2), -cd * cq)
+            if form != "definition":
+                bump(out, (w2, a, w1), cd * cq)  # its t3 image
+        if form != "form2":
+            for (w1, w2), cq in t(a).terms.items():  # (t (x) 1) Delta(m)
+                if form1:
+                    bump(out, (w1, w2, b), -cd * cq)
+                else:
+                    bump(out, (w2, b, w1), cd * cq)  # its t3^2 image
+    return Tensor3._trusted(out)
 
 
 def _format_counit_kill(res):
@@ -286,16 +293,18 @@ def check_jacobi(B, N):
 
     Exact in polynomial mode; modulo degree > N in series mode.
     """
-    def residual(ijk):
+    def residual(t, ijk):
         i, j, k = ijk
         acc = {}
-        for l in range(B.d):
-            axpy(acc, (B.entry(l, k) * B.entry(i, j).partial(l)).terms)
-            axpy(acc, (B.entry(l, i) * B.entry(j, k).partial(l)).terms)
-            axpy(acc, (B.entry(l, j) * B.entry(k, i).partial(l)).terms)
-        return B._reduce(Poly._trusted(acc))
-    return _check("jacobi", N, combinations(range(B.d), 3), residual,
-                  lambda ijk: f"(i,j,k)={_one_based(ijk)}", format_poly)
+        for l in range(t.d):
+            axpy(acc, (t.entry(l, k) * t.entry(i, j).partial(l)).terms)
+            axpy(acc, (t.entry(l, i) * t.entry(j, k).partial(l)).terms)
+            axpy(acc, (t.entry(l, j) * t.entry(k, i).partial(l)).terms)
+        return t._reduce(Poly._trusted(acc))
+    return _scaled_check("jacobi", B, N, residual, power=2,
+                         domain=lambda d, N: combinations(range(d), 3),
+                         describe=lambda ijk: f"(i,j,k)={_one_based(ijk)}",
+                         render=format_poly)
 
 
 def check_poisson_hopf_compat(B, N):
@@ -304,21 +313,21 @@ def check_poisson_hopf_compat(B, N):
         raise ValueError(
             "Hopf compatibility is defined in polynomial mode only")
 
-    def residual(ab):
+    def residual(t, ab):
         a, b = ab
-        res = dict(comult_poly(bracket_monomials(B, a, b)).terms)
+        res = dict(comult_poly(bracket_monomials(t, a, b)).terms)
         for ca, (a1, a2) in splittings(a, 2):
             for cb, (b1, b2) in splittings(b, 2):
                 w = -ca * cb
                 a2b2 = a2 * b2
-                for m, c in bracket_monomials(B, a1, b1).terms.items():
+                for m, c in bracket_monomials(t, a1, b1).terms.items():
                     bump(res, (m, a2b2), w * c)
                 a1b1 = a1 * b1
-                for m, c in bracket_monomials(B, a2, b2).terms.items():
+                for m, c in bracket_monomials(t, a2, b2).terms.items():
                     bump(res, (a1b1, m), w * c)
         return Tensor2._trusted(res)
-    return _check("poisson-hopf", N, _pairs(B.d, N), residual, _format_pair,
-                  format_tensor)
+    return _scaled_check("poisson-hopf", B, N, residual, domain=_pairs,
+                         describe=_format_pair, render=format_tensor)
 
 
 def linear_relations(d, base=0):
@@ -368,17 +377,20 @@ def check_eps_s_morphisms(B, N, compat=None):
             skipped=True,
             note="not applicable: Hopf compatibility fails at this degree")
 
+    t, D = B.scaled()  # the residual is linear in B: witnesses divide by D
+
     def residual(ab):
         a, b = ab
-        br = bracket_monomials(B, a, b)
+        br = bracket_monomials(t, a, b)
         eps = counit(br)
         # {S(b), S(a)} = (-1)^(|a|+|b|) {b, a} on monomials
-        sign = -1 if (a.degree + b.degree) % 2 else 1
-        s_res = antipode(br) - bracket_monomials(B, b, a).scale(sign)
+        ba, s = bracket_monomials(t, b, a), antipode(br)
+        s_res = s + ba if (a.degree + b.degree) % 2 else s - ba
         return (eps, s_res) if eps or s_res else None
     return _check("eps-s-morphisms", N, _pairs(B.d, N), residual, _format_pair,
-                  lambda r: f"eps residual = {format_coeff(r[0])}; "
-                            f"S residual = {format_poly(r[1])}")
+                  lambda r: "eps residual = "
+                            f"{format_coeff(Fraction(r[0], D))}; "
+                            f"S residual = {format_poly(r[1] / D)}")
 
 
 def check_antipode_coanti(q, N):
@@ -393,16 +405,15 @@ def check_antipode_coanti(q, N):
 def in_skew_generator_space(X):
     """Membership test for the span of x_i (x) x_j - x_j (x) x_i (i < j).
 
-    X belongs iff it is skew and (Delta (x) 1)(X) = (1 - t3)(1 (x) X).
+    X belongs iff it is skew and (Delta (x) 1)(X) = (1 - t3)(1 (x) X): the
+    form2 co-Leibniz rule at a = 1 for a map taking 1 to X.
     """
     if X + t2_swap(X):
         return False
     if not X.terms:
         return True
-    d = len(next(iter(X.terms))[0])
-    one = Monomial.unit(d)
-    one_x = Tensor3({(one, u, v): c for (u, v), c in X.terms.items()})
-    return not (delta_left(X) - (one_x - t3_cycle(one_x)))
+    one = Monomial.unit(len(next(iter(X.terms))[0]))
+    return not _coleibniz_residual("form2", lambda m: X, one)
 
 
 def check_dual_of_abcd(H, qvals):

@@ -15,12 +15,16 @@ Parentheses and unary signs nest at most MAX_NESTING deep, counted
 together, so that hostile input ends in a ParseError, not a RecursionError.
 A power p^n of a sum of t > 1 terms in d variables is refused before the
 first product when its term bound min(C(t+n-1, n), C(d+n*deg p, d)) is
-past MAX_POWER_TERMS.
+past MAX_POWER_TERMS, and so is a product of parenthesized factors when
+min(t1*t2, C(d+deg1+deg2, d)) is.  A number c^n, c not 0, 1 or -1, is
+refused when n times the bit length of c's numerator or denominator is
+past int()'s digit limit on literals, sys.get_int_max_str_digits().
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -122,6 +126,11 @@ class _Parser:
         while True:
             f = self.factor()
             if type(f) is Poly:
+                if poly is not None and MAX_POWER_TERMS < min(
+                        len(poly.terms) * len(f.terms),
+                        comb(self.d + poly.degree() + f.degree(), self.d)):
+                    raise ParseError(f"product may have more than "
+                                     f"{MAX_POWER_TERMS} terms", col)
                 poly = f if poly is None else poly * f
             else:
                 c, i, n = f
@@ -131,7 +140,7 @@ class _Parser:
                     exps[i] += n
             if self.peek()[0] != "*":
                 break
-            self.advance()
+            col = self.advance()[2]
         mono = _trusted_monomial(exps)
         if poly is None:
             bump(acc, mono, coeff)
@@ -175,6 +184,15 @@ class _Parser:
             raise ParseError("exponent must be a non-negative integer",
                              tok[2] if tok[0] != "end" else caret[2])
         n = int(tok[1])
+        # a number's power: of a plain factor's coefficient, or of a Poly's
+        # one term
+        c = f[0] if type(f) is not Poly else (
+            next(iter(f.terms.values())) if len(f.terms) == 1 else None)
+        limit = sys.get_int_max_str_digits()  # 0 when there is none
+        if limit and c not in (None, 0, 1, -1) and n * max(
+                c.numerator.bit_length(), c.denominator.bit_length()) > limit:
+            raise ParseError(f"power of a number past the {limit}-digit "
+                             "limit", tok[2])
         if type(f) is not Poly:
             c, i, e = f
             return (c ** n if c is not None else None, i, e * n)

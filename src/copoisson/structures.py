@@ -136,7 +136,7 @@ class BracketTable:
 
     `f` and `truncation_degree` are not mutated after __post_init__:
     `_memo` caches the monomial brackets computed from them (see
-    bracket_monomials).
+    bracket_monomials), and `_scaled` the pair scaled() returns.
     """
 
     d: int
@@ -144,6 +144,8 @@ class BracketTable:
     truncation_degree: int | None = None
     _memo: dict = field(default_factory=dict, init=False, compare=False,
                         repr=False)
+    _scaled: tuple = field(default=None, init=False, compare=False,
+                           repr=False)
 
     def __post_init__(self):
         for (i, j) in self.f:
@@ -166,6 +168,18 @@ class BracketTable:
         if self.series_mode:
             return p.truncate(self.truncation_degree)
         return p
+
+    def scaled(self):
+        """(D B, D): D the lcm of the denominators of every f_ij, D B
+        int-valued with its own bracket memo.  Computed once per table."""
+        if self._scaled is None:
+            D = lcm(*(c.denominator for p in self.f.values()
+                      for c in p.terms.values()))
+            self._scaled = BracketTable(self.d, {
+                ij: Poly._trusted({m: c.numerator * (D // c.denominator)
+                                   for m, c in p.terms.items()})
+                for ij, p in self.f.items()}, self.truncation_degree), D
+        return self._scaled
 
 
 def poisson_bracket(B, f, g):

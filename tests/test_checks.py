@@ -16,6 +16,7 @@ from copoisson.algebra import (
 from copoisson.checks import (
     COLEIBNIZ_FORMS,
     WITNESS_CAP,
+    CheckReport,
     _scaled_check,
     check_antipode_coanti,
     check_cojacobi,
@@ -40,6 +41,7 @@ from copoisson.structures import (
     ITable,
     SkewMatrix,
     StructConsts,
+    bracket_monomials,
     itable_from_consts,
     linear_poisson,
     make_copoisson,
@@ -331,8 +333,8 @@ class UnscaledI(ITable):
 
 
 DENOMINATORS = (1, 2, 3, 5, 7)
-rationals = st.builds(Fraction, st.integers(-3, 3),
-                       st.sampled_from(DENOMINATORS))
+denominators = st.sampled_from(DENOMINATORS)
+rationals = st.builds(Fraction, st.integers(-3, 3), denominators)
 
 
 @st.composite
@@ -389,6 +391,84 @@ def test_scaled_checks_match_unscaled_arithmetic(tables):
     for m in monomials(I.d, I.domain_degree_bound):
         assert fractions_only(q_from_i(I, m))
         assert fractions_only(i_from_q(q, m))
+
+
+class UnscaledB(BracketTable):
+    """A BracketTable whose checks run on B itself, in Fraction arithmetic."""
+
+    def scaled(self):
+        return self, 1
+
+
+@st.composite
+def fractional_brackets(draw):
+    """(d, f, truncation): entries of degree <= 2 with denominators from
+    DENOMINATORS; f_12 has a constant term, so eps({x1, x2}) != 0."""
+    d = draw(st.integers(2, 4))
+    f = {}
+    for i in range(d):
+        for j in range(i + 1, d):
+            terms = {m: draw(rationals) for m in monomials(d, 2)
+                     if draw(st.integers(0, 2)) == 0}
+            if (i, j) == (0, 1):
+                terms[Monomial.unit(d)] = Fraction(draw(st.integers(1, 3)),
+                                                   draw(denominators))
+            f[(i, j)] = Poly(terms)
+    return d, f, draw(st.one_of(st.none(), st.integers(1, 3)))
+
+
+def bracket_side_reports(B, N):
+    reports = [check_jacobi(B, N)]
+    if not B.series_mode:
+        # eps/S runs as if compatibility passed, so that it can fail
+        forced = CheckReport("poisson-hopf", passed=True, degree_checked=N)
+        reports += [check_poisson_hopf_compat(B, N),
+                    check_eps_s_morphisms(B, N, compat=forced)]
+    return [r.to_dict() for r in reports]
+
+
+@settings(deadline=None, max_examples=40)
+@given(fractional_brackets(), st.integers(2, 3))
+def test_scaled_bracket_checks_match_unscaled_arithmetic(bracket, N):
+    d, f, truncation = bracket
+    B = BracketTable(d=d, f=f, truncation_degree=truncation)
+    scaled = bracket_side_reports(B, N)
+    assert scaled == bracket_side_reports(UnscaledB(d, f, truncation), N)
+    if truncation is None:
+        assert not scaled[2]["passed"]  # eps({x1, x2}) != 0 at N >= 2
+    # no int leaks into the table as given or into its brackets
+    assert all(fractions_only(p) for p in B.f.values())
+    for a in monomials(d, 2):
+        assert fractions_only(bracket_monomials(B, a, a * a))
+
+
+def test_scaled_bracket_table():
+    x1, x2, x3 = (Poly.from_monomial(mono(*(int(k == i) for k in range(3))))
+                  for i in range(3))
+    f = {(0, 1): Fraction(1, 2) * x3 + Fraction(2, 3) * x1 * x2,
+         (1, 2): Fraction(-5, 4) * x1, (0, 2): 7 * x2}
+    B = BracketTable(d=3, f=f)
+    S, D = B.scaled()
+    assert D == 12 and B.scaled() is B.scaled()
+    assert S.f == {(0, 1): Poly({mono(0, 0, 1): 6, mono(1, 1, 0): 8}),
+                   (1, 2): Poly({mono(1, 0, 0): -15}),
+                   (0, 2): Poly({mono(0, 1, 0): 84})}
+    assert all(type(c) is int for p in S.f.values() for c in p.terms.values())
+    assert S.scaled() == (S, 1) and not S.series_mode
+    # the copy keeps its own memo; the table as given stays Fraction-valued
+    a, b = mono(1, 1, 0), mono(0, 1, 1)
+    assert bracket_monomials(S, a, b) == bracket_monomials(B, a, b).scale(D)
+    assert all(type(c) is int
+               for c in bracket_monomials(S, a, b).terms.values())
+    assert fractions_only(bracket_monomials(B, a, b))
+    assert all(fractions_only(p) for p in B.f.values())
+    assert S._memo.keys() == B._memo.keys() == {(a, b)}
+    # series mode: the copy is truncated as the table is, and stays int
+    T, D = BracketTable(d=3, f=f, truncation_degree=1).scaled()
+    assert D == 4 and T.truncation_degree == 1
+    assert T.f[(0, 1)] == Poly({mono(0, 0, 1): 2})
+    assert type(T.f[(0, 1)].terms[mono(0, 0, 1)]) is int
+    assert BracketTable(d=2).scaled()[1] == 1
 
 
 def test_scaled_tables():

@@ -226,6 +226,22 @@ def test_power_past_the_term_limit_exits_3(tmp_path, capsys, power):
     assert "power of a sum" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("bracket, message", [
+    ("3^10000000*x1", "power of a number past the 4300-digit limit"),
+    ("*".join(["(1 + x1 + x2 + x1^2 + x2^2 + x1*x2)"] * 12),
+     "product may have more than 128 terms"),
+])
+def test_number_power_and_product_past_the_limits_exit_3(tmp_path, capsys,
+                                                         bracket, message):
+    p = tmp_path / "bounded.json"
+    p.write_text(dump_json({
+        "kind": "poisson", "variables": ["x1", "x2"], "max_degree": 2,
+        "payload": {"brackets": {"1,2": bracket}, "mode": "polynomial"}}))
+    code, text, err = run_stderr(["check", str(p)], capsys)
+    assert (code, text) == (3, "")
+    assert message in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("text, message", [
     (dump_json({"kind": "poisson", "variables": ["x1", "x2"], "max_degree": 2,
                 "payload": {"brackets": {"1,2": "x1^" + "9" * 5000},

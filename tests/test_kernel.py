@@ -21,10 +21,25 @@ from copoisson.algebra import (
     bump,
     cyclic_sum,
     splittings,
+    t3_cycle,
     tensor2_mul,
 )
-from copoisson.checks import _cojacobi_residual, _delta_derivation_residual
-from copoisson.hopf import QMap, comult, mul_comult, q_left
+from copoisson.checks import (
+    COLEIBNIZ_FORMS,
+    _cojacobi_residual,
+    _coleibniz_residual,
+    _delta_derivation_residual,
+)
+from copoisson.hopf import (
+    QMap,
+    comult,
+    delta_left,
+    delta_right,
+    mul_comult,
+    q_left,
+    q_right,
+)
+from copoisson.structures import ITable, SkewMatrix, make_copoisson
 
 D = 2
 
@@ -176,4 +191,45 @@ def test_delta_derivation_residual_matches_tensor_products(t, a, b):
     want = t(a * b) - (tensor2_mul(t(a), comult(b))
                        + tensor2_mul(comult(a), t(b)))
     assert got.terms == want.terms
+    assert kernel_clean(got.terms)
+
+
+def composed_coleibniz(form, t, m):
+    """lhs - rhs of one co-Leibniz form as Tensor3 compositions."""
+    dm = comult(m)
+    if form == "definition":
+        lhs = delta_left(t(m))
+        rhs = q_right(dm, t) - t3_cycle(t3_cycle(q_left(dm, t)))
+    elif form == "form1":
+        lhs = delta_right(t(m))
+        rhs = q_left(dm, t) - t3_cycle(q_right(dm, t))
+    else:
+        lhs = delta_left(t(m))
+        r = q_right(dm, t)
+        rhs = r - t3_cycle(r)
+    return lhs - rhs
+
+
+@st.composite
+def cobrackets(draw, vals):
+    """make_copoisson of a drawn I-table, which satisfies co-Leibniz, or
+    its int-scaled copy; with one drawn tensor added at one monomial.  The
+    co-Leibniz residual at m reads q only at divisors of m, within D * 3."""
+    entries = draw(st.dictionaries(monos, coeffs, max_size=4))
+    rows = {m: SkewMatrix.from_upper(D, {(0, 1): c})
+            for m, c in entries.items() if c}
+    q = make_copoisson(ITable(D, D * 3, rows))
+    if vals is ints:
+        q = q.scaled()[0]
+    m, extra = draw(monos), draw(tensors(vals))
+    q.assignments[m] = q(m) + extra
+    return q
+
+
+@settings(deadline=None)
+@given(st.one_of(tables(coeffs), tables(ints), cobrackets(coeffs),
+                 cobrackets(ints)), monos, st.sampled_from(COLEIBNIZ_FORMS))
+def test_coleibniz_residual_matches_compositions(t, m, form):
+    got = _coleibniz_residual(form, t, m)
+    assert got.terms == composed_coleibniz(form, t, m).terms
     assert kernel_clean(got.terms)

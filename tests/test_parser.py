@@ -1,3 +1,4 @@
+import sys
 import time
 from fractions import Fraction
 
@@ -143,6 +144,52 @@ def test_power_limit():
     assert parse_poly("(x1 + x2 - x2)^4000", VARS2) == Poly.from_monomial(
         Monomial((4000, 0)))
     assert parse_poly("(x1 - x1)^4000", VARS2).is_zero()
+
+
+def test_number_power_limit():
+    # n times the larger bit length of c's numerator and denominator may
+    # not pass int()'s digit limit on literals, 4300 by default; 0, 1 and
+    # -1 take any exponent
+    limit = sys.get_int_max_str_digits()
+    assert limit == 4300
+    assert parse_poly("2^2150*x1", VARS2) == Poly.from_monomial(
+        Monomial((1, 0)), 2 ** 2150)
+    assert parse_poly("(1/3*x1)^2150", VARS2) == Poly.from_monomial(
+        Monomial((2150, 0)), Fraction(1, 3 ** 2150))
+    assert parse_poly("(x1 - x1 + 7/2)^1433", VARS2) == Poly.constant(
+        2, Fraction(7, 2) ** 1433)
+    for text in ["2^2151*x1", "3^10000000*x1", "x1*(3)^10000000",
+                 "-(1/3*x1)^2151", "(x1 - x1 + 7/2)^1434"]:
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="power of a number past the "
+                                             "4300-digit limit") as exc:
+            parse_poly(text, VARS2)
+        assert time.perf_counter() - start < 0.1, text
+        assert exc.value.column == text.index("^") + 2, text  # the exponent
+    for text, want in [("1^99999999999", 1), ("(-1)^99999999999", -1),
+                       ("-1^99999999999*x1^0", -1), ("0^99999999999", 0)]:
+        assert parse_poly(text, VARS2) == Poly.constant(2, want), text
+
+
+def test_product_limit():
+    # a product of parenthesized factors with t1 and t2 terms is refused
+    # when min(t1 * t2, C(d + deg1 + deg2, d)) is past MAX_POWER_TERMS
+    eight = "(" + " + ".join(f"x{i}" for i in range(1, 9)) + ")"
+    names = [f"x{i}" for i in range(1, 9)]
+    assert len(parse_poly(eight + "*" + eight, names).terms) == 36
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="product may have more than") as exc:
+        parse_poly("*".join([eight] * 12), names)
+    assert time.perf_counter() - start < 0.1
+    assert exc.value.column == 2 * len(eight) + 2  # at the second "*"
+    # 8 * 8 > 128 pairs of terms, but at most C(2 + 4, 2) = 15 monomials
+    wide = "(" + " + ".join(f"{k}*x1^2" for k in range(1, 9)) + " + x2)"
+    assert parse_poly(wide + "*" + wide, VARS2) == parse_poly(
+        f"{wide}^2", VARS2)
+    # plain factors between the parenthesized ones do not count
+    quadratic = "(1 + x1 + x2 + x1^2 + x2^2 + x1*x2)"
+    assert len(parse_poly(f"x1*{quadratic}*2*{quadratic}", VARS2).terms) == 15
+    assert MAX_POWER_TERMS == 128
 
 
 NAMES = st.lists(st.from_regex(r"[A-Za-z_][A-Za-z_0-9]{0,3}", fullmatch=True),

@@ -5,11 +5,13 @@ directly: every factor a Poly, every term a chain of Poly products, every
 expression a chain of Poly sums.  It shares only the tokenizer with the
 library.  On valid text both must give the same terms with the same value
 types; on malformed text, the same ParseError message and column.  The
-reference applies the documented limit on powers of sums by counting,
-not through the library's binomials.
+reference applies the documented limits on powers of sums, on products of
+parenthesized factors and on powers of numbers by counting, not through
+the library's binomials and bit lengths.
 """
 
-from itertools import combinations_with_replacement
+import sys
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,6 +38,31 @@ def saturated_counts(items, size, cap):
     return row
 
 
+def monomial_count(d, top):
+    """The monomials of degree <= top in d variables, held at the cap."""
+    cap = MAX_POWER_TERMS + 1
+    return min(sum(saturated_counts(d, min(top, MAX_POWER_TERMS), cap)), cap)
+
+
+def past_product_limit(p, f, d):
+    """The documented limit on a product of parenthesized factors: refused
+    when both the pairs of their terms and the monomials of degree <= the
+    sum of their degrees outnumber MAX_POWER_TERMS."""
+    pairs = sum(1 for _ in product(p.terms, f.terms))
+    top = p.degree() + f.degree()
+    return min(pairs, monomial_count(d, top)) > MAX_POWER_TERMS
+
+
+def past_digit_limit(c, n):
+    """The documented limit on a power c^n of a number other than 0, 1 and
+    -1: n times the binary digits of its numerator or denominator past
+    int()'s digit limit on literals."""
+    limit = sys.get_int_max_str_digits()
+    digits = max(len(format(abs(c.numerator), "b")),
+                 len(format(c.denominator, "b")))
+    return bool(limit) and abs(c) != 1 and n * digits > limit
+
+
 def past_power_limit(t, n, d, deg):
     """The documented limit on a power p^n of a sum of t > 1 terms of
     degree deg in d variables, counted rather than taken from binomials:
@@ -43,11 +70,9 @@ def past_power_limit(t, n, d, deg):
     monomials of degree <= n*deg outnumber MAX_POWER_TERMS.  Both counts
     grow with the exponent and pass the limit by the time it reaches
     MAX_POWER_TERMS, so counting stops there."""
-    cap = MAX_POWER_TERMS + 1
-    n, top = min(n, MAX_POWER_TERMS), min(n * deg, MAX_POWER_TERMS)
-    products = saturated_counts(t, n, cap)[n]
-    monomials = min(sum(saturated_counts(d, top, cap)), cap)
-    return min(products, monomials) >= cap
+    n = min(n, MAX_POWER_TERMS)
+    products = saturated_counts(t, n, MAX_POWER_TERMS + 1)[n]
+    return min(products, monomial_count(d, n * deg)) > MAX_POWER_TERMS
 
 
 class ReferenceParser:
@@ -55,6 +80,7 @@ class ReferenceParser:
         self.tokens = _tokenize(src)
         self.pos = 0
         self.depth = 0
+        self.parenthesized = False  # whether the last factor's base was
         self.variables = list(variables)
         self.index = {name: i for i, name in enumerate(self.variables)}
         self.d = len(self.variables)
@@ -90,9 +116,18 @@ class ReferenceParser:
 
     def term(self):
         p = self.factor()
+        grouped = p if self.parenthesized else None
         while self.peek()[0] == "*":
-            self.advance()
-            p = p * self.factor()
+            col = self.advance()[2]
+            f = self.factor()
+            if self.parenthesized:
+                # the limit counts the parenthesized factors alone
+                if grouped is not None and past_product_limit(
+                        grouped, f, self.d):
+                    raise ParseError(f"product may have more than "
+                                     f"{MAX_POWER_TERMS} terms", col)
+                grouped = f if grouped is None else grouped * f
+            p = p * f
         return p
 
     def factor(self):
@@ -104,6 +139,10 @@ class ReferenceParser:
                 raise ParseError("exponent must be a non-negative integer",
                                  tok[2] if tok[0] != "end" else caret[2])
             n = int(tok[1])
+            if len(p.terms) == 1 and past_digit_limit(*p.terms.values(), n):
+                raise ParseError(f"power of a number past the "
+                                 f"{sys.get_int_max_str_digits()}-digit "
+                                 f"limit", tok[2])
             if len(p.terms) > 1 and past_power_limit(
                     len(p.terms), n, self.d, p.degree()):
                 raise ParseError(f"power of a sum may have more than "
@@ -120,6 +159,7 @@ class ReferenceParser:
 
     def atom(self):
         kind, value, col = self.advance()
+        self.parenthesized = False
         if kind == "num":
             return Poly.constant(self.d, value)
         if kind == "name":
@@ -134,6 +174,7 @@ class ReferenceParser:
             if kind == "(":
                 p = self.expr()
                 self.expect(")")
+                self.parenthesized = True
             elif kind == "-":
                 p = -self.factor()
             else:
@@ -202,13 +243,18 @@ def nest(exprs):
         st.tuples(exprs, st.integers(0, 3)).map(lambda t: f"({t[0]})^{t[1]}")))
 
 
+LIMIT_MESSAGES = ("power of a sum may have more than",
+                  "product may have more than")
 trees = st.recursive(expressions(plain), nest, max_leaves=6)
 
 
 @settings(deadline=None, max_examples=300)
 @given(trees)
 def test_expression_trees_match_reference(text):
-    assert assert_same(text, VARS)[0] == "ok"
+    # the trees are grammatical, so only a documented size limit refuses
+    # one, e.g. (0 + (x1 + 1)^2*(0 + 1 + x2 + x3))^3, a power of a sum
+    got = assert_same(text, VARS)
+    assert got[0] == "ok" or got[1].startswith(LIMIT_MESSAGES), got
 
 
 # --- malformed and edge-case text ------------------------------------------
@@ -243,6 +289,19 @@ EDGE = [
     "(x1 + x2 + 1)^14", "(x1 + x2 + 1)^15",
     # ten terms of degree <= 2: the monomial count (84, then 165) decides
     QUADRATIC + "^3", QUADRATIC + "^4",
+    # products of parenthesized factors: 35 * 10 pairs but 84 monomials
+    # pass, 84 * 10 pairs and 165 monomials do not
+    "*".join([QUADRATIC] * 3), "*".join([QUADRATIC] * 4),
+    "x1*" + "*2*".join([QUADRATIC] * 4) + "*x2",
+    "0*" + "*".join([QUADRATIC] * 4),
+    "(x1 + x2)*(x1 - x1)*" + QUADRATIC + "^3",
+    "(x1^200 + 1)*(x2^300 + x3)", "-(x1 + 1)^100*(x2 + 1)",
+    "(x1 + 1)^100*(x2 + 1)*(x3 + 1)",
+    # powers of numbers at and past the digit limit
+    "2^2150*x1", "2^2151*x1", "(1/3*x1)^2150", "-(1/3*x1)^2151",
+    "(x1 - x1 + 7/2)^1433", "(x1 - x1 + 7/2)^1434", "x1*(3)^10000000",
+    "3^10000000*x1", "1^99999999", "(-1)^99999999", "-1^99999999^2",
+    "0^99999999", "(x1 + x2 - x2)^99999999",
 ]
 
 
