@@ -186,6 +186,13 @@ def test_product_limit():
     wide = "(" + " + ".join(f"{k}*x1^2" for k in range(1, 9)) + " + x2)"
     assert parse_poly(wide + "*" + wide, VARS2) == parse_poly(
         f"{wide}^2", VARS2)
+    # at the limit: 16 * 8 pairs of terms give 128 distinct monomials
+    def geometric(x, n):
+        return " + ".join(f"{x}^{k}" for k in range(n)).join("()")
+    text = geometric("x1", 16) + "*" + geometric("x2", 8)
+    assert len(parse_poly(text, VARS2).terms) == MAX_POWER_TERMS
+    with pytest.raises(ParseError, match="product may have more than"):
+        parse_poly(geometric("x1", 43) + "*" + geometric("x2", 3), VARS2)
     # plain factors between the parenthesized ones do not count
     quadratic = "(1 + x1 + x2 + x1^2 + x2^2 + x1*x2)"
     assert len(parse_poly(f"x1*{quadratic}*2*{quadratic}", VARS2).terms) == 15

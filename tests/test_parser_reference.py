@@ -297,6 +297,11 @@ EDGE = [
     "(x1 + x2)*(x1 - x1)*" + QUADRATIC + "^3",
     "(x1^200 + 1)*(x2^300 + x3)", "-(x1 + 1)^100*(x2 + 1)",
     "(x1 + 1)^100*(x2 + 1)*(x3 + 1)",
+    # 16 * 8 = 128 pairs of terms make 128 monomials; 43 * 3 = 129 do not
+    "*".join(" + ".join(f"{x}^{k}" for k in range(n)).join("()")
+             for x, n in (("x1", 16), ("x2", 8))),
+    "*".join(" + ".join(f"{x}^{k}" for k in range(n)).join("()")
+             for x, n in (("x1", 43), ("x2", 3))),
     # powers of numbers at and past the digit limit
     "2^2150*x1", "2^2151*x1", "(1/3*x1)^2150", "-(1/3*x1)^2151",
     "(x1 - x1 + 7/2)^1433", "(x1 - x1 + 7/2)^1434", "x1*(3)^10000000",
