@@ -184,8 +184,7 @@ class _Parser:
             raise ParseError("exponent must be a non-negative integer",
                              tok[2] if tok[0] != "end" else caret[2])
         n = int(tok[1])
-        # a number's power: of a plain factor's coefficient, or of a Poly's
-        # one term
+        # c^n of a number c: a plain factor's coefficient or a one-term Poly's
         c = f[0] if type(f) is not Poly else (
             next(iter(f.terms.values())) if len(f.terms) == 1 else None)
         limit = sys.get_int_max_str_digits()  # 0 when there is none

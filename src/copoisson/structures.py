@@ -170,8 +170,8 @@ class BracketTable:
         return p
 
     def scaled(self):
-        """(D B, D): D the lcm of the denominators of every f_ij, D B
-        int-valued with its own bracket memo.  Computed once per table."""
+        """(D B, D), made once: D the lcm of the denominators of the f_ij,
+        D B int-valued, with its own bracket memo."""
         if self._scaled is None:
             D = lcm(*(c.denominator for p in self.f.values()
                       for c in p.terms.values()))
