@@ -171,6 +171,11 @@ def test_number_power_limit():
         assert parse_poly(text, VARS2) == Poly.constant(2, want), text
 
 
+def geometric(x, n):
+    """(x^0 + x^1 + ... + x^(n-1)): n terms."""
+    return " + ".join(f"{x}^{k}" for k in range(n)).join("()")
+
+
 def test_product_limit():
     # a product of parenthesized factors with t1 and t2 terms is refused
     # when min(t1 * t2, C(d + deg1 + deg2, d)) is past MAX_POWER_TERMS
@@ -187,8 +192,6 @@ def test_product_limit():
     assert parse_poly(wide + "*" + wide, VARS2) == parse_poly(
         f"{wide}^2", VARS2)
     # at the limit: 16 * 8 pairs of terms give 128 distinct monomials
-    def geometric(x, n):
-        return " + ".join(f"{x}^{k}" for k in range(n)).join("()")
     text = geometric("x1", 16) + "*" + geometric("x2", 8)
     assert len(parse_poly(text, VARS2).terms) == MAX_POWER_TERMS
     with pytest.raises(ParseError, match="product may have more than"):
