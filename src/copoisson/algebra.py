@@ -20,8 +20,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
-from math import comb, factorial as int_factorial
+from math import comb, factorial as int_factorial, lcm
 from operator import add, sub
+from types import MappingProxyType
 
 
 class DimensionMismatchError(ValueError):
@@ -167,6 +168,33 @@ def _splittings(m, parts):
             for j in range(parts))
         out.append((coeff, factors))
     return tuple(out)
+
+
+def frozen_entries(table, name, what):
+    """Freeze the mapping field `name` of a frozen table: a read-only copy
+    replaces it, once each key is checked against the table's d and
+    domain_degree_bound."""
+    entries = dict(getattr(table, name))
+    for m in entries:
+        if len(m) != table.d:
+            raise DimensionMismatchError(
+                f"{what} {m!r} inconsistent with d={table.d}")
+        if m.degree > table.domain_degree_bound:
+            raise DegreeBoundError(
+                f"{what} {m!r} beyond bound {table.domain_degree_bound}")
+    object.__setattr__(table, name, MappingProxyType(entries))
+
+
+def cached_scaling(table, coeffs, rebuild):
+    """table.scaled(): the pair (D table, D), made on the first call and
+    kept on the table's `_scaled` field.  D is the lcm of the denominators
+    of `coeffs`, the table's values, and rebuild(scale) is the table with
+    each value c replaced by the int scale(c) = D c."""
+    if table._scaled is None:
+        D = lcm(*(c.denominator for c in coeffs))
+        object.__setattr__(table, "_scaled", (
+            rebuild(lambda c: c.numerator * (D // c.denominator)), D))
+    return table._scaled
 
 
 def bump(acc, key, c):
@@ -419,9 +447,23 @@ def format_monomial(m, names=None):
     return "*".join(parts) if parts else "1"
 
 
+def _decimal(n):
+    """str(n) at any size.  str() refuses an int past
+    sys.get_int_max_str_digits() digits (640 at the least), so a longer n
+    is split at a power of ten and each part converted on its own."""
+    if n < 0:
+        return "-" + _decimal(-n)
+    if n.bit_length() <= 2000:  # 603 digits at most
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half of n's log10(2) * bits digits
+    high, low = divmod(n, 10 ** k)
+    return _decimal(high) + _decimal(low).zfill(k)
+
+
 def format_coeff(c):
     c = Fraction(c)
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+    num = _decimal(c.numerator)
+    return num if c.denominator == 1 else f"{num}/{_decimal(c.denominator)}"
 
 
 def _format_terms(items, render_key):

@@ -7,7 +7,10 @@ witness lists are capped with a total-violation count.
 Every check reports through one witness loop, `_check`.  The co-side and
 the bracket side (Jacobi, Hopf compatibility, eps/S) run on the int-valued
 copy D q, D I or D B from `scaled()`, and only a rendered witness is
-divided back by D (D^2 for Jacobi and co-Jacobi).
+divided back by D (D^2 for Jacobi and co-Jacobi).  A table makes its
+scaled() pair once and keeps it (`QMap` and `ITable` are frozen), so the
+checks of one table share one copy; D is any common denominator, not
+necessarily the least, as make_copoisson hands q the D of its I-table.
 """
 
 from __future__ import annotations

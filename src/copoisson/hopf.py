@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from operator import add
 
 from .algebra import (
@@ -23,6 +22,8 @@ from .algebra import (
     _trusted_monomial,
     axpy,
     bump,
+    cached_scaling,
+    frozen_entries,
     splittings,
     t2_swap,
 )
@@ -81,33 +82,52 @@ def cocommutator(a):
     return d - t2_swap(d)
 
 
-@dataclass
+@dataclass(frozen=True)
 class QMap:
     """A linear map q: A -> A(x)A stored on monomials of degree <= bound.
 
     Missing assignments are zero.  Requests beyond the bound fail loudly:
-    the truncation must stay visible.
+    the truncation must stay visible.  Frozen: `assignments` is a read-only
+    copy whose keys are checked against d and the bound at construction,
+    so a lookup that hits is in bound, and scaled() is made once.
     """
 
     d: int
     domain_degree_bound: int
     assignments: dict = field(default_factory=dict)
+    _scaled: tuple = field(default=None, init=False, compare=False,
+                           repr=False)
+
+    def __post_init__(self):
+        frozen_entries(self, "assignments", "assignment")
+
+    @classmethod
+    def from_scaled(cls, t, D):
+        """The QMap t / D, with (t, D) as its scaled(): t is int-valued and
+        D any common denominator of t / D, not necessarily the least."""
+        q = cls(t.d, t.domain_degree_bound,
+                {m: v / D for m, v in t.assignments.items()})
+        object.__setattr__(q, "_scaled", (t, D))
+        return q
 
     def __call__(self, m):
-        if m.degree > self.domain_degree_bound:
-            raise DegreeBoundError(
-                f"q requested at degree {m.degree}, table bound is "
-                f"{self.domain_degree_bound}")
-        return self.assignments.get(m) or Tensor2()
+        v = self.assignments.get(m)
+        if v is None:
+            if m.degree > self.domain_degree_bound:
+                raise DegreeBoundError(
+                    f"q requested at degree {m.degree}, table bound is "
+                    f"{self.domain_degree_bound}")
+            return Tensor2()
+        return v
 
     def scaled(self):
-        """(D q, D): D the lcm of the denominators, D q int-valued."""
-        D = lcm(*(c.denominator for t in self.assignments.values()
-                  for c in t.terms.values()))
-        return QMap(self.d, self.domain_degree_bound, {
-            m: Tensor2._trusted({k: c.numerator * (D // c.denominator)
-                                 for k, c in t.terms.items()})
-            for m, t in self.assignments.items()}), D
+        """(D q, D), made once: D the lcm of the denominators, D q int-valued."""
+        return cached_scaling(
+            self, (c for t in self.assignments.values()
+                   for c in t.terms.values()),
+            lambda scale: QMap(self.d, self.domain_degree_bound, {
+                m: Tensor2._trusted({k: scale(c) for k, c in t.terms.items()})
+                for m, t in self.assignments.items()}))
 
 
 @dataclass
@@ -143,8 +163,10 @@ def q_from_i(I, a):
 
 
 def i_from_q(q, a):
-    """I(a) = (-1)^|a_2| q(a_1) Delta(a_2): the inverse signed sum."""
-    return _q_i_sum(q, a, True)
+    """I(a) = (-1)^|a_2| q(a_1) Delta(a_2): the inverse signed sum, run on
+    the int-valued D q of q.scaled() and divided by D once."""
+    t, D = q.scaled()
+    return _q_i_sum(t, a, True) / D
 
 
 def _p_j_sum(table, a, b, signed):

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
-from math import lcm
 
 from .algebra import (
     DegreeBoundError,
@@ -22,7 +21,9 @@ from .algebra import (
     Tensor2,
     axpy,
     bump,
+    cached_scaling,
     factorial,
+    frozen_entries,
     monomials,
 )
 from .hopf import PMap, QMap, q_from_i
@@ -87,23 +88,25 @@ class SkewMatrix:
         return Tensor2._trusted(out)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ITable:
     """The family {lambda_a^ij}: monomials -> skew matrices, i.e. I: A -> the
-    span of the skew generator 2-tensors.  Absent rows are zero."""
+    span of the skew generator 2-tensors.  Absent rows are zero.  Frozen:
+    `rows` is a read-only copy checked at construction, and scaled() is
+    made once."""
 
     d: int
     domain_degree_bound: int
     rows: dict = field(default_factory=dict)
+    _scaled: tuple = field(default=None, init=False, compare=False,
+                           repr=False)
 
     def __post_init__(self):
+        frozen_entries(self, "rows", "row")
         for m, mat in self.rows.items():
-            if len(m) != self.d or mat.d != self.d:
+            if mat.d != self.d:
                 raise DimensionMismatchError(
                     f"row {m!r} inconsistent with d={self.d}")
-            if m.degree > self.domain_degree_bound:
-                raise DegreeBoundError(
-                    f"row {m!r} beyond bound {self.domain_degree_bound}")
 
     def matrix(self, m):
         mat = self.rows.get(m)
@@ -117,13 +120,14 @@ class ITable:
         return self.matrix(m).to_tensor2()
 
     def scaled(self):
-        """(D I, D): D the lcm of the denominators, D I int-valued."""
-        D = lcm(*(v.denominator for mat in self.rows.values()
-                  for row in mat.entries for v in row))
-        return ITable(self.d, self.domain_degree_bound, {
-            m: SkewMatrix(tuple(tuple(v.numerator * (D // v.denominator)
-                                      for v in row) for row in mat.entries))
-            for m, mat in self.rows.items()}), D
+        """(D I, D), made once: D the lcm of the denominators, D I int-valued."""
+        return cached_scaling(
+            self, (v for mat in self.rows.values()
+                   for row in mat.entries for v in row),
+            lambda scale: ITable(self.d, self.domain_degree_bound, {
+                m: SkewMatrix(tuple(tuple(scale(v) for v in row)
+                                    for row in mat.entries))
+                for m, mat in self.rows.items()}))
 
 
 @dataclass
@@ -172,14 +176,11 @@ class BracketTable:
     def scaled(self):
         """(D B, D), made once: D the lcm of the denominators of the f_ij,
         D B int-valued, with its own bracket memo."""
-        if self._scaled is None:
-            D = lcm(*(c.denominator for p in self.f.values()
-                      for c in p.terms.values()))
-            self._scaled = BracketTable(self.d, {
-                ij: Poly._trusted({m: c.numerator * (D // c.denominator)
-                                   for m, c in p.terms.items()})
-                for ij, p in self.f.items()}, self.truncation_degree), D
-        return self._scaled
+        return cached_scaling(
+            self, (c for p in self.f.values() for c in p.terms.values()),
+            lambda scale: BracketTable(self.d, {
+                ij: Poly._trusted({m: scale(c) for m, c in p.terms.items()})
+                for ij, p in self.f.items()}, self.truncation_degree))
 
 
 def poisson_bracket(B, f, g):
@@ -229,17 +230,17 @@ def pmap_from_bracket(B, N):
 def make_copoisson(I):
     """Materialize q(a) = I(a_1) Delta(a_2) on all monomials within bound,
     summed on the int-valued D I and divided by D once.  The rows of D I
-    are turned into 2-tensors once, held in a QMap that q_from_i reads."""
+    are turned into 2-tensors once, held in a QMap that q_from_i reads, and
+    the int sums D q, with D, become q's scaled() pair."""
     J, D = I.scaled()
-    DI = QMap(I.d, I.domain_degree_bound,
-              {m: mat.to_tensor2() for m, mat in J.rows.items()})
-    assignments = {}
-    for m in monomials(I.d, I.domain_degree_bound):
+    N = I.domain_degree_bound
+    DI = QMap(I.d, N, {m: mat.to_tensor2() for m, mat in J.rows.items()})
+    Dq = {}
+    for m in monomials(I.d, N):
         v = q_from_i(DI, m)
         if v:
-            assignments[m] = v / D
-    return QMap(d=I.d, domain_degree_bound=I.domain_degree_bound,
-                assignments=assignments)
+            Dq[m] = v
+    return QMap.from_scaled(QMap(I.d, N, Dq), D)
 
 
 @dataclass

@@ -1,3 +1,5 @@
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from math import comb
 
@@ -12,6 +14,7 @@ from copoisson.algebra import (
     binomial,
     cyclic_sum,
     factorial,
+    format_coeff,
     format_monomial,
     format_poly,
     grlex_key,
@@ -122,3 +125,31 @@ def test_formatting():
     assert format_poly(p) == "-1 + 3/2*x1^2*x3"
     assert format_monomial(Monomial((0, 0))) == "1"
     assert format_poly(Poly()) == "0"
+
+
+@contextmanager
+def unlimited_int_str():
+    """str() of an int of any length, for a reference; the limit is put
+    back, since the parser's number-power bound reads it."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("digits", [1, 602, 603, 604, 4300, 4301, 9000,
+                                    20001])
+def test_format_coeff_past_the_int_str_limit(digits):
+    n = 10 ** (digits - 1) + 7 ** (2 * digits) % 10 ** (digits - 1)
+    den = 10 ** (digits - 1) + 7
+    with unlimited_int_str():
+        want = [str(n), f"-{n}", f"{n}/{den}", f"-{n}/{den}"]
+    got = [format_coeff(n), format_coeff(-n), format_coeff(Fraction(n, den)),
+           format_coeff(Fraction(-n, den))]
+    assert got == want
+    # the split points of the conversion: runs of zeros in the low part
+    with unlimited_int_str():
+        want = str(10 ** (digits + 700) + 1)
+    assert format_coeff(10 ** (digits + 700) + 1) == want

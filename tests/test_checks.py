@@ -1,3 +1,5 @@
+import json
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -5,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from copoisson.algebra import (
     DegreeBoundError,
+    DimensionMismatchError,
     Monomial,
     Poly,
     Tensor2,
@@ -354,7 +357,7 @@ def fractional_tables(draw):
     q = make_copoisson(I)
     m, u, v = (draw(st.sampled_from(monomials(d, bound))) for _ in range(3))
     c = Fraction(draw(st.integers(1, 3)), draw(st.sampled_from(DENOMINATORS)))
-    q.assignments[m] = q(m) + Tensor2.from_pair(u, v, c)
+    q = QMap(d, bound, {**q.assignments, m: q(m) + Tensor2.from_pair(u, v, c)})
     return I, q
 
 
@@ -391,6 +394,50 @@ def test_scaled_checks_match_unscaled_arithmetic(tables):
     for m in monomials(I.d, I.domain_degree_bound):
         assert fractions_only(q_from_i(I, m))
         assert fractions_only(i_from_q(q, m))
+
+
+def rescaled(q, k):
+    """q with (k D q, k D) as its scaled(): a common denominator k times
+    the least one."""
+    t, D = q.scaled()
+    return QMap.from_scaled(QMap(q.d, q.domain_degree_bound, {
+        m: Tensor2._trusted({key: k * c for key, c in v.terms.items()})
+        for m, v in t.assignments.items()}), k * D)
+
+
+@settings(deadline=None, max_examples=30)
+@given(fractional_tables(), st.integers(2, 6))
+def test_the_choice_of_d_does_not_change_a_report(tables, k):
+    I, q = tables
+    made = make_copoisson(I)
+    # make_copoisson hands q the D of I.scaled(); a fresh QMap of the same
+    # assignments finds its own lcm
+    assert made._scaled is not None and made.scaled()[1] == I.scaled()[1]
+    own = QMap(made.d, made.domain_degree_bound, made.assignments)
+    assert own == made and made.scaled()[1] % own.scaled()[1] == 0
+    assert (json.dumps(co_side_reports(made, I))
+            == json.dumps(co_side_reports(own, I)))
+    # a common denominator k times the least, on a table that fails checks
+    assert (json.dumps(co_side_reports(rescaled(q, k), I))
+            == json.dumps(co_side_reports(q, I)))
+    for m in monomials(I.d, I.domain_degree_bound):
+        assert i_from_q(made, m) == i_from_q(own, m) == I(m)
+        assert i_from_q(rescaled(q, k), m) == i_from_q(q, m)
+    # the tables are frozen, and a key past the bound is refused at once
+    m = next(iter(q.assignments))
+    with pytest.raises(TypeError):
+        q.assignments[m] = Tensor2()
+    with pytest.raises(TypeError):
+        I.rows[m] = SkewMatrix.zero(I.d)
+    with pytest.raises(FrozenInstanceError):
+        q.assignments = {}
+    with pytest.raises(FrozenInstanceError):
+        I.rows = {}
+    past = Monomial((I.domain_degree_bound + 1,) + (0,) * (I.d - 1))
+    with pytest.raises(DegreeBoundError, match="beyond bound"):
+        QMap(q.d, q.domain_degree_bound, {**q.assignments, past: q(m)})
+    with pytest.raises(DimensionMismatchError, match="inconsistent with d"):
+        QMap(q.d + 1, q.domain_degree_bound, q.assignments)
 
 
 class UnscaledB(BracketTable):
@@ -476,14 +523,14 @@ def test_scaled_tables():
     q = QMap(d=2, domain_degree_bound=1, assignments={
         x: Tensor2({(x, y): Fraction(1, 6), (y, x): Fraction(-3, 4)})})
     qs, D = q.scaled()
-    assert D == 12
+    assert D == 12 and q.scaled() is q.scaled()
     assert qs(x).terms == {(x, y): 2, (y, x): -9}
     assert all(type(c) is int for c in qs(x).terms.values())
     assert QMap(d=2, domain_degree_bound=1).scaled()[1] == 1
     I = ITable(d=2, domain_degree_bound=1, rows={
         x: SkewMatrix.from_upper(2, {(0, 1): Fraction(2, 5)})})
     Is, D = I.scaled()
-    assert D == 5 and Is.matrix(x).entries == ((0, 2), (-2, 0))
+    assert D == 5 and I.scaled() is I.scaled() and Is.matrix(x).entries == ((0, 2), (-2, 0))
     assert ITable(d=2, domain_degree_bound=1).scaled()[1] == 1
 
 

@@ -28,6 +28,7 @@ from copoisson.fileformat import (
 )
 
 from conftest import FIXTURES
+from test_algebra import unlimited_int_str
 
 
 def run(args):
@@ -263,6 +264,25 @@ def test_integer_past_the_digit_limit_exits_3(tmp_path, capsys, text,
     code, out, err = run_stderr(["check", str(p)], capsys)
     assert (code, out) == (3, "")
     assert message in err and err.count("\n") == 1
+
+
+def test_jacobi_witness_past_the_digit_limit_is_rendered(tmp_path):
+    # every literal is accepted, but the Jacobi witness holds c^2, which
+    # has more digits than int() converts to a string by default
+    c = 10 ** 2499 + 7 ** 5000 % 10 ** 2499
+    p = tmp_path / "large.json"
+    p.write_text(dump_json({
+        "kind": "poisson", "variables": ["x1", "x2", "x3"], "max_degree": 2,
+        "payload": {"brackets": {"1,3": f"{c}*x2", "2,3": f"{c}*x3"},
+                    "mode": "polynomial"}}))
+    code, text = run(["check", str(p), "--checks", "jacobi",
+                      "--format", "json"])
+    assert code == 1
+    (report,) = json.loads(text)["checks"]
+    with unlimited_int_str():
+        want = f"-{c * c}*x2"
+    assert report["witnesses"] == [{"input": "(i,j,k)=(1,2,3)",
+                                    "residual": want}]
 
 
 def test_bound_error_exit_code():

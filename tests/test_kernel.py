@@ -222,8 +222,7 @@ def cobrackets(draw, vals):
     if vals is ints:
         q = q.scaled()[0]
     m, extra = draw(monos), draw(tensors(vals))
-    q.assignments[m] = q(m) + extra
-    return q
+    return QMap(q.d, q.domain_degree_bound, {**q.assignments, m: q(m) + extra})
 
 
 @settings(deadline=None)
