@@ -132,7 +132,10 @@ class QMap:
 
 @dataclass
 class PMap:
-    """A linear map p: A(x)A -> A stored on monomial pairs within bound."""
+    """A linear map p: A(x)A -> A stored on monomial pairs within bound.
+
+    Not frozen, unlike QMap: callers fill `assignments` after building the
+    map, so it keeps no scaled copy that could go stale."""
 
     d: int
     domain_degree_bound: int

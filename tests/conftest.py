@@ -1,4 +1,6 @@
 import random
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,6 +17,18 @@ from copoisson import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+@contextmanager
+def unlimited_int_str():
+    """str() of an int of any length, for a reference; the limit is put
+    back, since the parser's number-power bound reads it."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def random_fraction(rng, span=4, max_den=3):

@@ -1,5 +1,3 @@
-import sys
-from contextlib import contextmanager
 from fractions import Fraction
 from math import comb
 
@@ -23,6 +21,8 @@ from copoisson.algebra import (
     t2_swap,
     t3_cycle,
 )
+
+from conftest import unlimited_int_str
 
 
 def test_monomial_basics():
@@ -125,18 +125,6 @@ def test_formatting():
     assert format_poly(p) == "-1 + 3/2*x1^2*x3"
     assert format_monomial(Monomial((0, 0))) == "1"
     assert format_poly(Poly()) == "0"
-
-
-@contextmanager
-def unlimited_int_str():
-    """str() of an int of any length, for a reference; the limit is put
-    back, since the parser's number-power bound reads it."""
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(old)
 
 
 @pytest.mark.parametrize("digits", [1, 602, 603, 604, 4300, 4301, 9000,

@@ -27,8 +27,7 @@ from copoisson.fileformat import (
     spec_to_dict,
 )
 
-from conftest import FIXTURES
-from test_algebra import unlimited_int_str
+from conftest import FIXTURES, unlimited_int_str
 
 
 def run(args):
