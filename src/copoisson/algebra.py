@@ -95,6 +95,12 @@ def monomials(d, max_degree):
     return list(_monomials(d, max_degree))
 
 
+@lru_cache(maxsize=64)
+def generators(d):
+    """The monomials x_1..x_d as one memoized tuple, shared: do not mutate."""
+    return tuple(Monomial.variable(d, i) for i in range(d))
+
+
 @lru_cache(maxsize=256)
 def _monomials(d, max_degree):
     return tuple(_trusted_monomial(c) for total in range(max_degree + 1)

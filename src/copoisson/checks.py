@@ -6,11 +6,13 @@ witness lists are capped with a total-violation count.
 
 Every check reports through one witness loop, `_check`.  The co-side and
 the bracket side (Jacobi, Hopf compatibility, eps/S) run on the int-valued
-copy D q, D I or D B from `scaled()`, and only a rendered witness is
-divided back by D (D^2 for Jacobi and co-Jacobi).  A table makes its
-scaled() pair once and keeps it (`QMap` and `ITable` are frozen), so the
-checks of one table share one copy; D is any common denominator, not
-necessarily the least, as make_copoisson hands q the D of its I-table.
+copy from `scaled()`: D q for a QMap q or an I-table (an `ITable` is a
+`QMap`, so both are read through one lookup), D B for a bracket table.
+Only a rendered witness is divided back by D (D^2 for Jacobi and
+co-Jacobi).  A table makes its scaled() pair once and keeps it (a `QMap`
+is frozen), so the checks of one table share one copy; D is any common
+denominator, not necessarily the least, as make_copoisson hands q the D
+of its I-table.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .algebra import (
     format_poly,
     format_tensor,
     format_coeff,
+    generators,
     grlex_key,
     monomials,
     splittings,
@@ -270,17 +273,19 @@ def check_cojacobi_coeffs(I, N):
     """
     def residual(t, key):
         a, (i, j, k) = key
+        g = generators(t.d)
+        ij, jk, ki = (g[i], g[j]), (g[j], g[k]), (g[k], g[i])
         total = 0
         for coeff, (a1, a2) in splittings(a, 2):
-            m1 = t.matrix(a1)
-            if m1.is_zero():
+            l1 = t(a1).terms  # l_{a1}^{uv}: the coefficient of (x_u, x_v)
+            if not l1:
                 continue
-            for s in range(t.d):
-                m2 = t.matrix(Monomial.variable(t.d, s) * a2)
-                if m2.is_zero():
-                    continue
-                total += coeff * (m1[s, k] * m2[i, j] + m1[s, i] * m2[j, k]
-                                  + m1[s, j] * m2[k, i])
+            for xs in g:
+                l2 = t(xs * a2).terms
+                if l2:
+                    total += coeff * (l1.get((xs, g[k]), 0) * l2.get(ij, 0)
+                                      + l1.get((xs, g[i]), 0) * l2.get(jk, 0)
+                                      + l1.get((xs, g[j]), 0) * l2.get(ki, 0))
         return total
     return _scaled_check(
         "cojacobi-coeffs", I, N, residual, power=2, need=N + 1,
@@ -358,8 +363,8 @@ def check_support_condition(I):
     """Hopf-compatible I-tables vanish off the degree-1 monomials."""
     return _check(
         "support", I.domain_degree_bound,
-        sorted((m for m in I.rows if m.degree != 1), key=grlex_key),
-        lambda m: I.rows[m].to_tensor2(), format_monomial, format_tensor)
+        sorted((m for m in I.rows if m.degree != 1), key=grlex_key), I,
+        format_monomial, format_tensor)
 
 
 def check_eps_s_morphisms(B, N, compat=None):

@@ -138,8 +138,9 @@ def _decode_copoisson(variables, max_degree, payload):
     rows = {}
     for idx, row in enumerate(payload["rows"]):
         where = f" (row {idx + 1})"
-        _require(isinstance(row, dict) and "monomial" in row and "lambda" in row,
-                 f"each row needs \"monomial\" and \"lambda\"{where}")
+        _require(isinstance(row, dict) and "monomial" in row
+                 and isinstance(row.get("lambda"), list),
+                 f"each row needs \"monomial\" and a \"lambda\" list{where}")
         m = monomial(row["monomial"], where)
         _require(m.degree <= max_degree,
                  f"row monomial {row['monomial']!r} exceeds max_degree{where}")
@@ -226,8 +227,9 @@ def _decode_qmap(variables, max_degree, payload):
     assignments = {}
     for idx, row in enumerate(payload["rows"]):
         where = f" (row {idx + 1})"
-        _require(isinstance(row, dict) and "monomial" in row and "tensor" in row,
-                 f"each row needs \"monomial\" and \"tensor\"{where}")
+        _require(isinstance(row, dict) and "monomial" in row
+                 and isinstance(row.get("tensor"), list),
+                 f"each row needs \"monomial\" and a \"tensor\" list{where}")
         m = monomial(row["monomial"], where)
         _require(m.degree <= max_degree,
                  f"row monomial exceeds max_degree{where}")
@@ -308,6 +310,8 @@ def load_spec(path):
         raise SpecFormatError(f"{path}: not UTF-8 text: {e}") from None
     except ValueError as e:  # bad syntax, or an integer past int()'s limit
         raise SpecFormatError(f"{path}: invalid JSON: {e}") from None
+    except RecursionError:
+        raise SpecFormatError(f"{path}: JSON nested too deeply") from None
     return spec_from_dict(doc)
 
 

@@ -101,12 +101,12 @@ class QMap:
     def __post_init__(self):
         frozen_entries(self, "assignments", "assignment")
 
-    @classmethod
-    def from_scaled(cls, t, D):
-        """The QMap t / D, with (t, D) as its scaled(): t is int-valued and
-        D any common denominator of t / D, not necessarily the least."""
-        q = cls(t.d, t.domain_degree_bound,
-                {m: v / D for m, v in t.assignments.items()})
+    @staticmethod
+    def from_scaled(t, D):
+        """The plain QMap t / D, with (t, D) as its scaled(): t is int-valued
+        and D any common denominator of t / D, not necessarily the least."""
+        q = QMap(t.d, t.domain_degree_bound,
+                 {m: v / D for m, v in t.assignments.items()})
         object.__setattr__(q, "_scaled", (t, D))
         return q
 

@@ -18,7 +18,9 @@ first product when its term bound min(C(t+n-1, n), C(d+n*deg p, d)) is
 past MAX_POWER_TERMS, and so is a product of parenthesized factors when
 min(t1*t2, C(d+deg1+deg2, d)) is.  A number c^n, c not 0, 1 or -1, is
 refused when n times the bit length of c's numerator or denominator is
-past int()'s digit limit on literals, sys.get_int_max_str_digits().
+past int()'s digit limit on literals, sys.get_int_max_str_digits(), and
+so is a power of a sum of t > 1 terms when n times (the largest such bit
+length among its coefficients, plus t.bit_length()) is.
 """
 
 from __future__ import annotations
@@ -184,22 +186,22 @@ class _Parser:
             raise ParseError("exponent must be a non-negative integer",
                              tok[2] if tok[0] != "end" else caret[2])
         n = int(tok[1])
-        # c^n of a number c: a plain factor's coefficient or a one-term Poly's
-        c = f[0] if type(f) is not Poly else (
-            next(iter(f.terms.values())) if len(f.terms) == 1 else None)
-        limit = sys.get_int_max_str_digits()  # 0 when there is none
-        if limit and c not in (None, 0, 1, -1) and n * max(
-                c.numerator.bit_length(), c.denominator.bit_length()) > limit:
-            raise ParseError(f"power of a number past the {limit}-digit "
-                             "limit", tok[2])
-        if type(f) is not Poly:
-            c, i, e = f
-            return (c ** n if c is not None else None, i, e * n)
-        t = len(f.terms)  # f^n of a sum has n + 1 terms or more: no comb
+        # the coefficients of f: a plain factor's one, None standing for 1
+        cs = f.terms.values() if type(f) is Poly else (f[0] or _ONE,)
+        t = len(cs)  # f^n of a sum has n + 1 terms or more: no comb
         if t > 1 and (n >= MAX_POWER_TERMS or MAX_POWER_TERMS < min(
                 comb(t + n - 1, n), comb(self.d + n * f.degree(), self.d))):
             raise ParseError(f"power of a sum may have more than "
                              f"{MAX_POWER_TERMS} terms", tok[2])
+        bits = max((max(c.numerator.bit_length(), c.denominator.bit_length())
+                    for c in cs), default=0) + (t.bit_length() if t > 1 else 0)
+        limit = sys.get_int_max_str_digits()  # 0 when there is none
+        if limit and bits > 1 and n * bits > limit:  # bits <= 1: 0, 1, -1
+            raise ParseError(f"power of a {'sum' if t > 1 else 'number'} "
+                             f"past the {limit}-digit limit", tok[2])
+        if type(f) is not Poly:
+            c, i, e = f
+            return (c ** n if c is not None else None, i, e * n)
         # repeated squaring: O(log n) products
         out = Poly.constant(self.d, 1)
         while n:
@@ -234,4 +236,6 @@ class _Parser:
 
 def parse_poly(src, variables):
     """Parse `src` into a Poly over the given ordered variable names."""
+    if not isinstance(src, str):
+        raise ParseError(f"expected text, got {type(src).__name__}", 1)
     return _Parser(src, variables).parse()

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 
 from .algebra import (
-    DegreeBoundError,
     DimensionMismatchError,
     Monomial,
     Poly,
@@ -24,6 +23,7 @@ from .algebra import (
     cached_scaling,
     factorial,
     frozen_entries,
+    generators,
     monomials,
 )
 from .hopf import PMap, QMap, q_from_i
@@ -79,27 +79,23 @@ class SkewMatrix:
 
     def to_tensor2(self):
         """sum lambda^ij x_i (x) x_j as an element of the skew space."""
-        d = self.d
-        out = {}
-        for i, j in product(range(d), repeat=2):
-            v = self.entries[i][j]
-            if v:
-                out[(Monomial.variable(d, i), Monomial.variable(d, j))] = v
-        return Tensor2._trusted(out)
+        g = generators(self.d)
+        return Tensor2._trusted({(g[i], g[j]): v
+                                 for i, row in enumerate(self.entries)
+                                 for j, v in enumerate(row) if v})
 
 
 @dataclass(frozen=True)
-class ITable:
+class ITable(QMap):
     """The family {lambda_a^ij}: monomials -> skew matrices, i.e. I: A -> the
-    span of the skew generator 2-tensors.  Absent rows are zero.  Frozen:
-    `rows` is a read-only copy checked at construction, and scaled() is
-    made once."""
+    span of the skew generator 2-tensors, a QMap of that span.  Absent rows
+    are zero.  Frozen: `rows` is a read-only copy checked at construction,
+    and `assignments`, which QMap's lookup, bound check and scaled() read,
+    holds each row's 2-tensor, built once from it."""
 
-    d: int
-    domain_degree_bound: int
+    assignments: dict = field(default=None, init=False, compare=False,
+                              repr=False)
     rows: dict = field(default_factory=dict)
-    _scaled: tuple = field(default=None, init=False, compare=False,
-                           repr=False)
 
     def __post_init__(self):
         frozen_entries(self, "rows", "row")
@@ -107,27 +103,13 @@ class ITable:
             if mat.d != self.d:
                 raise DimensionMismatchError(
                     f"row {m!r} inconsistent with d={self.d}")
+        object.__setattr__(self, "assignments", {
+            m: mat.to_tensor2() for m, mat in self.rows.items()})
+        super().__post_init__()
 
     def matrix(self, m):
         mat = self.rows.get(m)
         return SkewMatrix.zero(self.d) if mat is None else mat
-
-    def __call__(self, m):
-        if m.degree > self.domain_degree_bound:
-            raise DegreeBoundError(
-                f"I requested at degree {m.degree}, table bound is "
-                f"{self.domain_degree_bound}")
-        return self.matrix(m).to_tensor2()
-
-    def scaled(self):
-        """(D I, D), made once: D the lcm of the denominators, D I int-valued."""
-        return cached_scaling(
-            self, (v for mat in self.rows.values()
-                   for row in mat.entries for v in row),
-            lambda scale: ITable(self.d, self.domain_degree_bound, {
-                m: SkewMatrix(tuple(tuple(scale(v) for v in row)
-                                    for row in mat.entries))
-                for m, mat in self.rows.items()}))
 
 
 @dataclass
@@ -229,18 +211,15 @@ def pmap_from_bracket(B, N):
 
 def make_copoisson(I):
     """Materialize q(a) = I(a_1) Delta(a_2) on all monomials within bound,
-    summed on the int-valued D I and divided by D once.  The rows of D I
-    are turned into 2-tensors once, held in a QMap that q_from_i reads, and
-    the int sums D q, with D, become q's scaled() pair."""
-    J, D = I.scaled()
-    N = I.domain_degree_bound
-    DI = QMap(I.d, N, {m: mat.to_tensor2() for m, mat in J.rows.items()})
+    summed on the int-valued D I of I.scaled(); the int sums D q, with D,
+    become q's scaled() pair, so q is divided by D once."""
+    t, D = I.scaled()
     Dq = {}
-    for m in monomials(I.d, N):
-        v = q_from_i(DI, m)
+    for m in monomials(I.d, I.domain_degree_bound):
+        v = q_from_i(t, m)
         if v:
             Dq[m] = v
-    return QMap.from_scaled(QMap(I.d, N, Dq), D)
+    return QMap.from_scaled(QMap(I.d, I.domain_degree_bound, Dq), D)
 
 
 @dataclass

@@ -1,6 +1,7 @@
 import json
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,15 +12,19 @@ from copoisson.algebra import (
     Monomial,
     Poly,
     Tensor2,
+    format_coeff,
     format_monomial,
     format_tensor,
     monomials,
+    splittings,
     t2_swap,
 )
 from copoisson.checks import (
     COLEIBNIZ_FORMS,
     WITNESS_CAP,
     CheckReport,
+    _check,
+    _one_based,
     _scaled_check,
     check_antipode_coanti,
     check_cojacobi,
@@ -396,6 +401,34 @@ def test_scaled_checks_match_unscaled_arithmetic(tables):
         assert fractions_only(i_from_q(q, m))
 
 
+def reference_cojacobi_coeffs(I, N):
+    """check_cojacobi_coeffs as it read I before an I-table was a QMap: each
+    lambda_a^{ij} from the skew matrix of row a, in Fraction arithmetic."""
+    def residual(key):
+        a, (i, j, k) = key
+        total = 0
+        for coeff, (a1, a2) in splittings(a, 2):
+            m1 = I.matrix(a1)
+            for s in range(I.d):
+                m2 = I.matrix(Monomial.variable(I.d, s) * a2)
+                total += coeff * (m1[s, k] * m2[i, j] + m1[s, i] * m2[j, k]
+                                  + m1[s, j] * m2[k, i])
+        return total
+    return _check("cojacobi-coeffs", N,
+                  product(monomials(I.d, N), combinations(range(I.d), 3)),
+                  residual, lambda key: f"a={format_monomial(key[0])}, "
+                  f"(i,j,k)={_one_based(key[1])}", format_coeff)
+
+
+@settings(deadline=None, max_examples=30)
+@given(fractional_tables())
+def test_cojacobi_coeffs_matches_the_skew_matrix_reference(tables):
+    I, _ = tables
+    for N in range(I.domain_degree_bound):
+        assert (check_cojacobi_coeffs(I, N).to_dict()
+                == reference_cojacobi_coeffs(I, N).to_dict())
+
+
 def rescaled(q, k):
     """q with (k D q, k D) as its scaled(): a common denominator k times
     the least one."""
@@ -530,7 +563,11 @@ def test_scaled_tables():
     I = ITable(d=2, domain_degree_bound=1, rows={
         x: SkewMatrix.from_upper(2, {(0, 1): Fraction(2, 5)})})
     Is, D = I.scaled()
-    assert D == 5 and I.scaled() is I.scaled() and Is.matrix(x).entries == ((0, 2), (-2, 0))
+    # an I-table scales as the QMap of its generator-pair tensors it is
+    assert D == 5 and I.scaled() is I.scaled() and type(Is) is QMap
+    assert Is(x).terms == {(x, y): 2, (y, x): -2}
+    assert all(type(c) is int for c in Is(x).terms.values())
+    assert I(x) is I(x) and I(x) == I.matrix(x).to_tensor2()
     assert ITable(d=2, domain_degree_bound=1).scaled()[1] == 1
 
 

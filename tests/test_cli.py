@@ -228,6 +228,7 @@ def test_power_past_the_term_limit_exits_3(tmp_path, capsys, power):
 
 @pytest.mark.parametrize("bracket, message", [
     ("3^10000000*x1", "power of a number past the 4300-digit limit"),
+    ("(x1 + " + "7" * 300 + ")^127", "power of a sum past the 4300-digit limit"),
     ("*".join(["(1 + x1 + x2 + x1^2 + x2^2 + x1*x2)"] * 12),
      "product may have more than 128 terms"),
 ])

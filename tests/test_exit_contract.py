@@ -1,0 +1,105 @@
+"""The exit-code contract of `copoisson check` on hostile input files.
+
+Every fixture has each value below its root replaced, one at a time, by a
+value of a wrong JSON type, and deeply nested JSON is read as well.  On
+each, `main` must return (nothing escapes it), the code must be one that
+README.md documents, and 1, "a check failed", must come only with a report
+that holds a failed check.
+"""
+
+import io
+import json
+import re
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from copoisson.cli import main
+
+from conftest import FIXTURES
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+WRONG_TYPES = (5, 2.5, None, True, [], {}, "x", [["x"]])
+
+
+def documented_codes():
+    """The codes in backticks in README.md's "Exit codes:" paragraph."""
+    text = README.read_text()
+    paragraph = text[text.index("Exit codes:"):].split("\n\n")[0]
+    return {int(code) for code in re.findall(r"`(\d)`", paragraph)}
+
+
+def test_readme_documents_the_four_codes():
+    assert documented_codes() == {0, 1, 2, 3}
+
+
+def value_paths(doc, path=()):
+    """The path of every value below the root, containers included."""
+    if path:
+        yield path
+    items = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from value_paths(value, path + (key,))
+
+
+def replaced(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path
+    inner = doc
+    for key in parents:
+        inner = inner[key]
+    inner[last] = value
+    return doc
+
+
+DOCS = {p.name: json.loads(p.read_text())
+        for p in sorted(FIXTURES.glob("*.json"))}
+TARGETS = [(name, path) for name, doc in DOCS.items()
+           for path in value_paths(doc)]
+
+
+def assert_contract(path):
+    out = io.StringIO()
+    code = main(["check", str(path), "--format", "json"], out=out)
+    assert code in documented_codes()
+    if code == 1:
+        report = json.loads(out.getvalue())
+        assert not all(c["passed"] for c in report["checks"])
+    return code
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract") / "spec.json"
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from(TARGETS), st.sampled_from(WRONG_TYPES))
+def test_a_wrong_json_type_exits_with_a_documented_code(scratch, target,
+                                                        value):
+    name, path = target
+    scratch.write_text(json.dumps(replaced(DOCS[name], path, value)))
+    assert_contract(scratch)
+
+
+def test_a_list_where_one_is_required_is_checked_for_its_type(scratch):
+    # "lambda" and "tensor" rows used to iterate whatever they held: a
+    # number escaped main, and {} read as an empty list
+    for name, key in (("copoisson_d2.json", "lambda"),
+                      ("qmap_fractional.json", "tensor")):
+        for value in (5, {}):
+            doc = replaced(DOCS[name], ("payload", "rows", 0, key), value)
+            scratch.write_text(json.dumps(doc))
+            assert assert_contract(scratch) == 3
+
+
+def test_deeply_nested_json_exits_3(scratch, capsys):
+    scratch.write_text("[" * 200_000 + "]" * 200_000)
+    assert assert_contract(scratch) == 3
+    text = json.dumps(DOCS["counterex_n5.json"])[:-1]
+    scratch.write_text(text + ', "extra": ' + "[" * 100_000 + "]" * 100_000
+                       + "}")
+    assert assert_contract(scratch) == 3
+    assert "nested too deeply" in capsys.readouterr().err

@@ -171,6 +171,30 @@ def test_number_power_limit():
         assert parse_poly(text, VARS2) == Poly.constant(2, want), text
 
 
+def test_sum_power_coefficient_limit():
+    # a power of a sum of t > 1 terms: n times (the larger bit length of a
+    # coefficient's numerator or denominator, plus t.bit_length()) may not
+    # pass the same limit; 127 * (23 + 2) = 3175 and 100 * (41 + 2) = 4300
+    assert parse_poly("(x1 + 7654321/1234567)^127", VARS2).coeff(
+        Monomial((0, 0))) == Fraction(7654321, 1234567) ** 127
+    assert len(parse_poly("(x1 + 2^40)^100", VARS2).terms) == 101
+    for text in ["(x1 + 2^41)^100", "(x1 - 1/2199023255552)^100",
+                 "(x1 + " + "7" * 100 + ")^127",
+                 "(x1 + " + "7" * 1000 + ")^127"]:
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="power of a sum past the "
+                                             "4300-digit limit") as exc:
+            parse_poly(text, VARS2)
+        assert time.perf_counter() - start < 0.1, text
+        assert exc.value.column == text.rindex("^") + 2, text
+
+
+def test_non_text_is_a_parse_error():
+    for value in [5, 2.5, None, True, [], {}, [["x1"]]]:
+        with pytest.raises(ParseError, match="expected text, got"):
+            parse_poly(value, VARS2)
+
+
 def geometric(x, n):
     """(x^0 + x^1 + ... + x^(n-1)): n terms."""
     return " + ".join(f"{x}^{k}" for k in range(n)).join("()")

@@ -63,6 +63,17 @@ def past_digit_limit(c, n):
     return bool(limit) and abs(c) != 1 and n * digits > limit
 
 
+def past_sum_digit_limit(p, n):
+    """The documented limit on the coefficients of a power p^n of a sum of
+    t > 1 terms: n times (the most binary digits of a numerator or
+    denominator of p, plus the binary digits of t) past int()'s digit
+    limit on literals."""
+    limit = sys.get_int_max_str_digits()
+    digits = max(len(format(abs(v), "b")) for c in p.terms.values()
+                 for v in (c.numerator, c.denominator))
+    return bool(limit) and n * (digits + len(format(len(p.terms), "b"))) > limit
+
+
 def past_power_limit(t, n, d, deg):
     """The documented limit on a power p^n of a sum of t > 1 terms of
     degree deg in d variables, counted rather than taken from binomials:
@@ -147,6 +158,10 @@ class ReferenceParser:
                     len(p.terms), n, self.d, p.degree()):
                 raise ParseError(f"power of a sum may have more than "
                                  f"{MAX_POWER_TERMS} terms", tok[2])
+            if len(p.terms) > 1 and past_sum_digit_limit(p, n):
+                raise ParseError(f"power of a sum past the "
+                                 f"{sys.get_int_max_str_digits()}-digit "
+                                 f"limit", tok[2])
             out = Poly.constant(self.d, 1)
             while n:
                 if n & 1:
@@ -307,6 +322,11 @@ EDGE = [
     "(x1 - x1 + 7/2)^1433", "(x1 - x1 + 7/2)^1434", "x1*(3)^10000000",
     "3^10000000*x1", "1^99999999", "(-1)^99999999", "-1^99999999^2",
     "0^99999999", "(x1 + x2 - x2)^99999999",
+    # powers of sums at and past the digit limit: 100 * (41 + 2) = 4300
+    "(x1 + 7654321/1234567)^127", "(x1 + " + "7" * 100 + ")^127",
+    "(x1 + 1099511627776)^100", "-(x1 + 2199023255552)^100",
+    "(x1 + 1/1099511627776)^100", "(x1 - 1/2199023255552)^100",
+    "(x1 + x2 + 2/3)^2*(x3 + " + "9" * 1000 + ")^5",
 ]
 
 
