@@ -568,6 +568,9 @@ def test_scaled_tables():
     assert Is(x).terms == {(x, y): 2, (y, x): -2}
     assert all(type(c) is int for c in Is(x).terms.values())
     assert I(x) is I(x) and I(x) == I.matrix(x).to_tensor2()
+    # the inherited constructor builds a plain QMap, not an ITable
+    back = ITable.from_scaled(Is, D)
+    assert type(back) is QMap and back.assignments == I.assignments
     assert ITable(d=2, domain_degree_bound=1).scaled()[1] == 1
 
 
