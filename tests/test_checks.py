@@ -402,8 +402,9 @@ def test_scaled_checks_match_unscaled_arithmetic(tables):
 
 
 def reference_cojacobi_coeffs(I, N):
-    """check_cojacobi_coeffs as it read I before an I-table was a QMap: each
-    lambda_a^{ij} from the skew matrix of row a, in Fraction arithmetic."""
+    """The coefficient form of co-Jacobi with each lambda_a^{ij} read off the
+    skew matrix of row a, in Fraction arithmetic: a reference that shares
+    no lookup with check_cojacobi_coeffs."""
     def residual(key):
         a, (i, j, k) = key
         total = 0
