@@ -44,7 +44,6 @@ from .algebra import (
 from .finite import (
     cocommutator_vec,
     comult3_indexed,
-    comult_indexed,
     tensor_concat,
 )
 from .hopf import (
@@ -434,7 +433,7 @@ def check_dual_of_abcd(H, qvals):
         c, corollary = key
         res = {}  # left side minus right side
         if not corollary:
-            for (c1, c2), w in comult_indexed(H, c).items():
+            for (c1, c2), w in H.comult_nz[c].items():
                 tensor_concat(res, qvals[c1], cocommutator_vec(H, c2), w)
                 tensor_concat(res, cocommutator_vec(H, c1), qvals[c2], -w)
         else:

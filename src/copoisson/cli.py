@@ -1,13 +1,15 @@
 """Command-line interface: check, transform, classify-h4, relations.
 
 Exit codes: 0 all selected checks pass, 1 a check fails, 2 usage or
-degree-bound error, 3 file or expression parse error.
+degree-bound error, 3 file or expression parse error, 4 internal error
+(a bug: the traceback goes to stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from functools import lru_cache
 from itertools import combinations
 
@@ -72,6 +74,7 @@ EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_PARSE = 3
+EXIT_INTERNAL = 4
 
 
 class UsageError(ValueError):
@@ -437,6 +440,10 @@ def main(argv=None, out=None):
     except (UsageError, DegreeBoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -37,15 +37,22 @@ class SpecFormatError(ValueError):
     """A structure file violates the interchange schema."""
 
 
+# an optional sign, digits, and an optional "/digits": what format_coeff
+# writes; Fraction() would also read "1e1000000", "1.5", "1_000" and " 1/2"
+_RATIONAL_RE = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_rational(s, where=""):
     if not isinstance(s, str):
         raise SpecFormatError(
             f"rational values must be strings like \"p/q\"{where}, got {s!r}")
+    m = _RATIONAL_RE.fullmatch(s)
     try:
-        v = Fraction(s)
-    except (ValueError, ZeroDivisionError):
-        raise SpecFormatError(f"malformed rational {s!r}{where}") from None
-    return v
+        if m:
+            return Fraction(int(m[1]), int(m[2] or 1))
+    except (ValueError, ZeroDivisionError):  # past int()'s digit limit, or /0
+        pass
+    raise SpecFormatError(f"malformed rational {s!r}{where}")
 
 
 # a factor as format_monomial writes it: name or name^k; a longer exponent
@@ -189,8 +196,10 @@ def _decode_finhopf(payload):
         _require(key in payload, f"finhopf payload needs \"{key}\"")
     n = payload["dim"]
     _require(_is_int(n) and n >= 1, "finhopf dim must be a positive integer")
-    _require(isinstance(payload["basis"], list) and len(payload["basis"]) == n,
-             "finhopf basis must list dim names")
+    basis = payload["basis"]
+    _require(isinstance(basis, list) and len(basis) == n
+             and all(isinstance(b, str) for b in basis) and len(set(basis)) == n,
+             "finhopf basis must list dim distinct names")
 
     def vec(data, what):
         _require(isinstance(data, list) and len(data) == n,
@@ -209,7 +218,7 @@ def _decode_finhopf(payload):
 
     try:
         return FinHopf.create(
-            dim=n, basis_names=payload["basis"],
+            dim=n, basis_names=basis,
             mult=tens(payload["mult"], "mult"),
             unit=vec(payload["unit"], "unit"),
             comult=tens(payload["comult"], "comult"),

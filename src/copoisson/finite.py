@@ -135,33 +135,6 @@ class FinHopf:
         H.validate()
         return H
 
-    # vector helpers; elements of H are length-dim tuples of Fraction
-    def basis_vec(self, i):
-        return tuple(Fraction(1) if j == i else Fraction(0)
-                     for j in range(self.dim))
-
-    def mul_vec(self, u, v):
-        out = [Fraction(0)] * self.dim
-        for (i, j), prod in self.mult_nz.items():
-            c = u[i] * v[j]
-            if c:
-                for k, w in prod:
-                    out[k] += c * w
-        return tuple(out)
-
-    def counit_vec(self, u):
-        return sum((u[i] * self.counit[i] for i in range(self.dim)),
-                   Fraction(0))
-
-    def antipode_vec(self, u):
-        n = self.dim
-        out = [Fraction(0)] * n
-        for i in range(n):
-            if u[i]:
-                for j in range(n):
-                    out[j] += u[i] * self.antipode[i][j]
-        return tuple(out)
-
     def validate(self):
         r = range(self.dim)
         M, D = self.mult_nz, self.comult_nz
@@ -189,14 +162,11 @@ class FinHopf:
             if mul(one, e(i)) != e(i) or mul(e(i), one) != e(i):
                 raise HopfAxiomError(f"unit axiom fails on basis {i}")
         for i in r:
-            lhs = {}
             rhs = {}
             for (a, b), w in D[i].items():
-                for (a1, a2), w2 in D[a].items():
-                    bump(lhs, (a1, a2, b), w * w2)
                 for (b1, b2), w2 in D[b].items():
                     bump(rhs, (a, b1, b2), w * w2)
-            if lhs != rhs:
+            if comult2_indexed(self, i) != rhs:
                 raise HopfAxiomError(f"coassociativity fails on basis {i}")
         for i in r:
             left = {}
@@ -216,11 +186,6 @@ class FinHopf:
             want = {k: c for k, u in one.items() if (c := self.counit[i] * u)}
             if left != want or right != want:
                 raise HopfAxiomError(f"antipode axiom fails on basis {i}")
-
-
-def comult_indexed(H, i):
-    """Nonzero entries of Delta(e_i) as {(j, k): coeff}, in a new dict."""
-    return dict(H.comult_nz[i])
 
 
 def comult2_indexed(H, i):
@@ -460,44 +425,6 @@ def brackets_from_vector(H, vec):
     return out
 
 
-def bracket_eval(H, brackets, u, v):
-    """Bilinear, skew evaluation of the bracket table on two H-vectors."""
-    n = H.dim
-    out = [Fraction(0)] * n
-    for i in range(n):
-        if not u[i]:
-            continue
-        for j in range(n):
-            if not v[j] or i == j:
-                continue
-            if i < j:
-                val = brackets[(i, j)]
-                sign = 1
-            else:
-                val = brackets[(j, i)]
-                sign = -1
-            c = sign * u[i] * v[j]
-            for k in range(n):
-                out[k] += c * val[k]
-    return tuple(out)
-
-
-def jacobi_residual(H, brackets):
-    """Flattened cyclic Jacobi residuals over all basis triples i<j<k."""
-    n = H.dim
-    out = []
-    e = H.basis_vec
-    for i, j, k in combinations(range(n), 3):
-        r = [Fraction(0)] * n
-        for (u, v, w) in ((i, j, k), (j, k, i), (k, i, j)):
-            inner = bracket_eval(H, brackets, e(u), e(v))
-            outer = bracket_eval(H, brackets, inner, e(w))
-            for m in range(n):
-                r[m] += outer[m]
-        out.extend(r)
-    return tuple(out)
-
-
 # --- co-Poisson structure solver -----------------------------------------
 
 def copoisson_unknown_count(H):
@@ -602,25 +529,6 @@ def qvals_from_vector(H, vec):
     return out
 
 
-def cojacobi_residual(H, qvals):
-    """Flattened cyclic co-Jacobi residuals (1+t3+t3^2)(q(x)1)q(e_c)."""
-    n = H.dim
-    out = []
-    for c in range(n):
-        t = {}
-        for (a, b), w in qvals[c].items():
-            for (j, k), w2 in qvals[a].items():
-                bump(t, (j, k, b), w * w2)
-        cyc = {}
-        for (v1, v2, v3), w in t.items():
-            bump(cyc, (v1, v2, v3), w)
-            bump(cyc, (v3, v1, v2), w)
-            bump(cyc, (v2, v3, v1), w)
-        for key in product(range(n), repeat=3):
-            out.append(cyc.get(key, Fraction(0)))
-    return tuple(out)
-
-
 # --- quadratic residual extraction ---------------------------------------
 
 @dataclass
@@ -662,7 +570,9 @@ def _bracket_table(H, vec):
 
 def _jacobi_bilinear(H, x, y, acc):
     """acc += the Jacobi residual with outer bracket x and inner bracket y,
-    both as _bracket_table, in jacobi_residual's flat layout."""
+    both as _bracket_table: the cyclic sum of {{e_u, e_v}, e_w} over each
+    triple t = (i, j, k), i < j < k, in combinations order, with its e_m
+    component at t*n + m."""
     n = H.dim
     for t, (i, j, k) in enumerate(combinations(range(n), 3)):
         for u, v, w in ((i, j, k), (j, k, i), (k, i, j)):
@@ -673,7 +583,9 @@ def _jacobi_bilinear(H, x, y, acc):
 
 def _cojacobi_bilinear(H, x, y, acc):
     """acc += the co-Jacobi residual with outer cobracket x and inner
-    cobracket y, both as qvals_from_vector, in cojacobi_residual's layout."""
+    cobracket y, both as qvals_from_vector: (1 + t3 + t3^2)(y (x) 1) x(e_c),
+    with its e_l1 (x) e_l2 (x) e_l3 component at
+    ((c*n + l1)*n + l2)*n + l3."""
     n = H.dim
     for c, qc in x.items():
         for (a, b), w in qc.items():

@@ -1,3 +1,4 @@
+import importlib.util
 import random
 import sys
 from contextlib import contextmanager
@@ -17,6 +18,28 @@ from copoisson import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _load_reference():
+    """perfbench/reference.py, loaded by path: the benchmark's computations
+    made apart from copoisson, which imports nothing from the package."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+reference = _load_reference()
+
+
+def carrier_data(H):
+    """A FinHopf as the dict of nested lists that reference.py's finite
+    carrier functions read."""
+    lists = lambda t: [lists(v) for v in t] if isinstance(t, tuple) else t
+    return {"names": list(H.basis_names),
+            **{f: lists(getattr(H, f))
+               for f in ("mult", "unit", "comult", "counit", "antipode")}}
 
 
 @contextmanager

@@ -3,19 +3,23 @@
 Every fixture has each value below its root replaced, one at a time, by a
 value of a wrong JSON type, and deeply nested JSON is read as well.  On
 each, `main` must return (nothing escapes it), the code must be one that
-README.md documents, and 1, "a check failed", must come only with a report
-that holds a failed check.
+README.md documents other than 4, "internal error", and 1, "a check
+failed", must come only with a report that holds a failed check.
 """
 
 import io
 import json
 import re
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import copoisson.cli as cli
 from copoisson.cli import main
+from copoisson.fileformat import load_spec
 
 from conftest import FIXTURES
 
@@ -30,8 +34,8 @@ def documented_codes():
     return {int(code) for code in re.findall(r"`(\d)`", paragraph)}
 
 
-def test_readme_documents_the_four_codes():
-    assert documented_codes() == {0, 1, 2, 3}
+def test_readme_documents_the_five_codes():
+    assert documented_codes() == {0, 1, 2, 3, 4}
 
 
 def value_paths(doc, path=()):
@@ -63,7 +67,7 @@ TARGETS = [(name, path) for name, doc in DOCS.items()
 def assert_contract(path):
     out = io.StringIO()
     code = main(["check", str(path), "--format", "json"], out=out)
-    assert code in documented_codes()
+    assert code in documented_codes() - {4}
     if code == 1:
         report = json.loads(out.getvalue())
         assert not all(c["passed"] for c in report["checks"])
@@ -103,3 +107,44 @@ def test_deeply_nested_json_exits_3(scratch, capsys):
                        + "}")
     assert assert_contract(scratch) == 3
     assert "nested too deeply" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("basis", [[5, None, [], {"a": 1}],
+                                   ["g", "g", "x", "gx"]],
+                         ids=["not-strings", "repeated"])
+def test_finhopf_basis_must_be_distinct_names(scratch, capsys, basis):
+    scratch.write_text(json.dumps(replaced(DOCS["h4.json"],
+                                           ("payload", "basis"), basis)))
+    assert assert_contract(scratch) == 3
+    assert "distinct names" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["1e1000000", "1.5", "1_000", " 1/2"])
+def test_a_rational_in_another_form_exits_3_at_once(scratch, capsys, value):
+    # Fraction() reads these; "1e1000000" took 19 s to check
+    scratch.write_text(json.dumps(replaced(
+        DOCS["so3.json"], ("payload", "lambda", 0, 3), value)))
+    start = time.perf_counter()
+    assert assert_contract(scratch) == 3
+    assert time.perf_counter() - start < 1
+    assert "malformed rational" in capsys.readouterr().err
+
+
+def test_signed_and_unreduced_rationals_still_load(scratch):
+    doc = replaced(DOCS["so3.json"], ("payload", "lambda", 0, 3), "-3/4")
+    doc = replaced(doc, ("payload", "lambda", 2, 3), "6/8")
+    scratch.write_text(json.dumps(doc))
+    lam = load_spec(scratch).structure.lam
+    assert lam[(0, 1, 2)] == Fraction(-3, 4) and lam[(1, 2, 0)] == Fraction(3, 4)
+
+
+def test_an_unexpected_exception_exits_4_with_its_traceback(monkeypatch,
+                                                            capsys):
+    def broken(path):
+        raise RuntimeError("deliberate failure")
+
+    monkeypatch.setattr(cli, "load_spec", broken)
+    assert main(["check", str(FIXTURES / "so3.json")], out=io.StringIO()) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:\nTraceback (most recent call last)")
+    assert "RuntimeError: deliberate failure" in err
