@@ -329,26 +329,19 @@ def cmd_classify_h4(args, out):
         members = []
         for vec in fam.basis:
             br = brackets_from_vector(H, vec)
-            lines = []
-            for (i, j) in sorted(br):
-                terms = {(k,): v for k, v in enumerate(br[(i, j)]) if v}
-                if terms:
-                    lines.append(
-                        f"{{{H.basis_names[i]},{H.basis_names[j]}}} = "
-                        f"{_fmt_fin_tensor2(H, terms)}")
-            members.append(lines)
+            members.append([
+                f"{{{H.basis_names[i]},{H.basis_names[j]}}} = "
+                + _fmt_fin_tensor2(H, {(k,): v for k, v in val.items()})
+                for (i, j), val in sorted(br.items())])
     else:
         fam = solve_copoisson_family(H, hopf_compat=args.hopf)
         residual = quadratic_residual_family(fam, "cojacobi", H)
         members = []
         for vec in fam.basis:
             qv = qvals_from_vector(H, vec)
-            lines = []
-            for i in range(H.dim):
-                if qv[i]:
-                    lines.append(f"q({H.basis_names[i]}) = "
-                                 f"{_fmt_fin_tensor2(H, qv[i])}")
-            members.append(lines)
+            members.append([f"q({H.basis_names[i]}) = "
+                            + _fmt_fin_tensor2(H, t)
+                            for i, t in qv.items() if t])
     report = ReportDocument(command="classify-h4")
     report.families.append({
         "structure": args.structure,

@@ -111,6 +111,12 @@ def _is_int(v):
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+# a bracket key, "i,j" in ASCII digits; int() alone would also read " 1",
+# "+1", "1_0" and other scripts' digits.  An index too long for int() to
+# convert is out of range anyway.
+_BRACKET_KEY_RE = re.compile(r"([0-9]{1,600}),([0-9]{1,600})")
+
+
 def _decode_poisson(variables, max_degree, payload):
     _require(isinstance(payload.get("brackets"), dict),
              "poisson payload needs a \"brackets\" object")
@@ -119,14 +125,14 @@ def _decode_poisson(variables, max_degree, payload):
              f"poisson mode must be polynomial or series, got {mode!r}")
     d = len(variables)
     f = {}
+    seen = set()
     for key, src in sorted(payload["brackets"].items()):
-        parts = key.split(",")
-        _require(len(parts) == 2, f"bracket key {key!r} must be \"i,j\"")
-        try:
-            i, j = (int(p) for p in parts)
-        except ValueError:
-            raise SpecFormatError(f"bracket key {key!r} must be \"i,j\"") from None
+        m = _BRACKET_KEY_RE.fullmatch(key)
+        _require(m, f"bracket key {key!r} must be \"i,j\"")
+        i, j = int(m[1]), int(m[2])
         _require(1 <= i < j <= d, f"bracket key {key!r}: need 1 <= i < j <= {d}")
+        _require((i, j) not in seen, f"duplicate bracket ({i},{j}) at {key!r}")
+        seen.add((i, j))
         try:
             p = parse_poly(src, variables)
         except ParseError as e:
@@ -143,6 +149,7 @@ def _decode_copoisson(variables, max_degree, payload):
     d = len(variables)
     monomial = _monomial_reader(variables)
     rows = {}
+    seen = set()
     for idx, row in enumerate(payload["rows"]):
         where = f" (row {idx + 1})"
         _require(isinstance(row, dict) and "monomial" in row
@@ -151,7 +158,8 @@ def _decode_copoisson(variables, max_degree, payload):
         m = monomial(row["monomial"], where)
         _require(m.degree <= max_degree,
                  f"row monomial {row['monomial']!r} exceeds max_degree{where}")
-        _require(m not in rows, f"duplicate row for {row['monomial']!r}{where}")
+        _require(m not in seen, f"duplicate row for {row['monomial']!r}{where}")
+        seen.add(m)
         upper = {}
         for ent in row["lambda"]:
             _require(isinstance(ent, list) and len(ent) == 3,
@@ -234,6 +242,7 @@ def _decode_qmap(variables, max_degree, payload):
     d = len(variables)
     monomial = _monomial_reader(variables)
     assignments = {}
+    seen = set()
     for idx, row in enumerate(payload["rows"]):
         where = f" (row {idx + 1})"
         _require(isinstance(row, dict) and "monomial" in row
@@ -242,7 +251,8 @@ def _decode_qmap(variables, max_degree, payload):
         m = monomial(row["monomial"], where)
         _require(m.degree <= max_degree,
                  f"row monomial exceeds max_degree{where}")
-        _require(m not in assignments, f"duplicate row{where}")
+        _require(m not in seen, f"duplicate row{where}")
+        seen.add(m)
         terms = {}
         for ent in row["tensor"]:
             _require(isinstance(ent, list) and len(ent) == 3,
@@ -262,6 +272,7 @@ def _decode_pmap(variables, max_degree, payload):
     d = len(variables)
     monomial = _monomial_reader(variables)
     assignments = {}
+    seen = set()
     for idx, row in enumerate(payload["rows"]):
         where = f" (row {idx + 1})"
         _require(isinstance(row, dict) and "pair" in row and "value" in row,
@@ -272,7 +283,8 @@ def _decode_pmap(variables, max_degree, payload):
         a, b = monomial(pair[0], where), monomial(pair[1], where)
         _require(max(a.degree, b.degree) <= max_degree,
                  f"pair monomials exceed max_degree{where}")
-        _require((a, b) not in assignments, f"duplicate pair{where}")
+        _require((a, b) not in seen, f"duplicate pair{where}")
+        seen.add((a, b))
         try:
             p = parse_poly(row["value"], variables)
         except ParseError as e:

@@ -313,18 +313,15 @@ class LinearFamily:
 # row mixes degrees in mult and comult and scales its lower one by Dm * Dc.
 
 def _int_tensors(H):
-    """(mult_nz, comult_nz, unit, counit, Dm, Dc): int copies of H's
-    tensors, each times the lcm of its denominators (Dm, Dc, Du, De)."""
+    """(mult_nz, comult_nz, Dm, Dc): int copies of H's mult and comult,
+    each times the lcm of its denominators (Dm, Dc)."""
     lcm_of = lambda ws: lcm(*(w.denominator for w in ws))
     Dm = lcm_of(w for p in H.mult_nz.values() for _, w in p)
     Dc = lcm_of(w for t in H.comult_nz for w in t.values())
-    Du, De = lcm_of(H.unit), lcm_of(H.counit)
     return ({ij: tuple((k, int(w * Dm)) for k, w in p)
              for ij, p in H.mult_nz.items()},
             tuple({jk: int(w * Dc) for jk, w in t.items()}
-                  for t in H.comult_nz),
-            tuple(int(w * Du) for w in H.unit),
-            tuple(int(w * De) for w in H.counit), Dm, Dc)
+                  for t in H.comult_nz), Dm, Dc)
 
 
 def _emit(rows, acc):
@@ -352,13 +349,14 @@ def solve_poisson_family(H, hopf_compat=False):
     """Solve the linear part of the Poisson (Hopf) structure equations.
 
     Unknowns are the bracket values {e_i, e_j} for i < j.  Constraints:
-    {1, -} = 0, the Leibniz rule on all basis triples, and optionally the
-    Hopf compatibility of the coproduct.  Jacobi is quadratic and handled
+    the Leibniz rule on all basis triples, and optionally the Hopf
+    compatibility of the coproduct.  Jacobi is quadratic and handled
     separately by quadratic_residual_family.
+    {1, -} = 0 is implied: Leibniz at a = b = 1 gives {1, c} = 2{1, c}.
     """
     n = H.dim
     _, pair_pos = _pair_index(H)
-    mult, comult, unit, _, Dm, Dc = _int_tensors(H)
+    mult, comult, Dm, Dc = _int_tensors(H)
     rows = []
 
     def bracket(acc, key, i, j, k, w):
@@ -371,14 +369,6 @@ def solve_poisson_family(H, hopf_compat=False):
             u, w = pair_pos[(j, i)] * n + k, -w
         bump(acc.setdefault(key, {}), u, w)
 
-    # {1, e_j} = 0
-    for j in range(n):
-        acc = {k: {} for k in range(n)}
-        for i in range(n):
-            if unit[i]:
-                for k in range(n):
-                    bracket(acc, k, i, j, k, unit[i])
-        _emit(rows, acc)
     # Leibniz {ab, c} = a{b, c} + {a, c}b
     for a in range(n):
         for b in range(n):
@@ -416,12 +406,15 @@ def solve_poisson_family(H, hopf_compat=False):
 
 
 def brackets_from_vector(H, vec):
-    """Decode a solution vector into {(i, j): H-vector} for i < j."""
+    """Decode a solution vector into its nonzero brackets as
+    {(i, j): {k: coeff}} for i < j; an absent pair has bracket 0."""
     n = H.dim
     pairs, _ = _pair_index(H)
     out = {}
-    for idx, (i, j) in enumerate(pairs):
-        out[(i, j)] = tuple(vec[idx * n + k] for k in range(n))
+    for idx, ij in enumerate(pairs):
+        val = {k: v for k in range(n) if (v := vec[idx * n + k])}
+        if val:
+            out[ij] = val
     return out
 
 
@@ -440,13 +433,14 @@ def solve_copoisson_family(H, hopf_compat=False):
     """Solve the linear part of the co-Poisson (Hopf) structure equations.
 
     Unknowns are the cobracket values q(e_i) in H(x)H.  Constraints:
-    skew-symmetry, the vanishing counit contractions, the co-Leibniz rule
-    in its definitional form (the carrier need not be cocommutative), and
-    optionally the Delta-derivation property.  Co-Jacobi is quadratic and
-    handled separately.
+    skew-symmetry, the co-Leibniz rule in its definitional form (the
+    carrier need not be cocommutative), and optionally the
+    Delta-derivation property.  Co-Jacobi is quadratic and handled
+    separately.  The counit contractions are implied: eps(x)1(x)1, then
+    eps(x)1, on co-Leibniz gives (1(x)eps)q = 0, and skew (eps(x)1)q = 0.
     """
     n = H.dim
-    mult, comult, _, counit, Dm, Dc = _int_tensors(H)
+    mult, comult, Dm, Dc = _int_tensors(H)
     rows = []
 
     def add(acc, key, u, w):
@@ -459,15 +453,6 @@ def solve_copoisson_family(H, hopf_compat=False):
             for k in range(j, n):
                 add(acc, (i, j, k), _q_u(H, i, j, k), 1)
                 add(acc, (i, j, k), _q_u(H, i, k, j), 1)
-    _emit(rows, acc)
-    # counit contractions vanish
-    acc = {}
-    for i in range(n):
-        for m in range(n):
-            for j in range(n):
-                if counit[j]:
-                    add(acc, (i, m, 0), _q_u(H, i, j, m), counit[j])
-                    add(acc, (i, m, 1), _q_u(H, i, m, j), counit[j])
     _emit(rows, acc)
     # co-Leibniz: (Delta(x)1)q(c) - (1(x)q)Delta(c) + t3^2 (q(x)1)Delta(c) = 0
     for c in range(n):
@@ -557,14 +542,10 @@ class QuadraticResidual:
 
 
 def _bracket_table(H, vec):
-    """The nonzero brackets of vec as {(i, j): {k: coeff}}, for i < j and,
-    negated, for i > j."""
-    br = {}
-    for (i, j), val in brackets_from_vector(H, vec).items():
-        for k, v in enumerate(val):
-            if v:
-                br.setdefault((i, j), {})[k] = v
-                br.setdefault((j, i), {})[k] = -v
+    """brackets_from_vector, with the pairs i > j added negated."""
+    br = brackets_from_vector(H, vec)
+    for (i, j), val in list(br.items()):
+        br[(j, i)] = {k: -v for k, v in val.items()}
     return br
 
 

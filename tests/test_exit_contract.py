@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 import copoisson.cli as cli
 from copoisson.cli import main
 from copoisson.fileformat import load_spec
+from copoisson.parser import parse_poly
 
 from conftest import FIXTURES
 
@@ -148,3 +149,56 @@ def test_an_unexpected_exception_exits_4_with_its_traceback(monkeypatch,
     err = capsys.readouterr().err
     assert err.startswith("internal error:\nTraceback (most recent call last)")
     assert "RuntimeError: deliberate failure" in err
+
+
+# a zero row and a nonzero one with the same key
+REPEATED_ROWS = {
+    "copoisson": [{"monomial": "x1", "lambda": [[1, 2, v]]}
+                  for v in ("0", "3")],
+    "qmap": [{"monomial": "x1", "tensor": [["x1", "x2", v]]}
+             for v in ("0", "3")],
+    "pmap": [{"pair": ["x1", "x2"], "value": v} for v in ("0", "x1")],
+}
+
+
+@pytest.mark.parametrize("zero_first", [True, False],
+                         ids=["zero-first", "zero-last"])
+@pytest.mark.parametrize("kind", sorted(REPEATED_ROWS))
+def test_a_repeated_row_exits_3_in_either_order(scratch, capsys, kind,
+                                                zero_first):
+    # a zero row is never stored, so it used to escape the duplicate check
+    rows = REPEATED_ROWS[kind][::1 if zero_first else -1]
+    scratch.write_text(json.dumps({
+        "kind": kind, "variables": ["x1", "x2"], "max_degree": 2,
+        "payload": {"rows": rows}}))
+    command = ["transform", str(scratch), "--to", "j"] if kind == "pmap" \
+        else ["check", str(scratch), "--checks", "skew"]
+    assert main(command, out=io.StringIO()) == 3
+    assert "duplicate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", [" 1,2", "1, 2", "+1,2", "1_0,2", "1,2,3",
+                                 "\u0661,2", "1" * 5000 + ",2"],
+                         ids=["space", "inner-space", "sign", "underscore",
+                              "three", "arabic-digit", "5000-digits"])
+def test_a_bracket_key_other_than_digits_exits_3(scratch, capsys, key):
+    doc = json.loads(json.dumps(DOCS["quadratic_d3.json"]))
+    brackets = doc["payload"]["brackets"]
+    brackets[key] = brackets.pop("1,2")
+    scratch.write_text(json.dumps(doc))
+    assert assert_contract(scratch) == 3
+    assert "must be \"i,j\"" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["01,2", "1,02", "001,0002"])
+def test_two_keys_for_one_bracket_exit_3(scratch, capsys, key):
+    # int() reads each of these as (1, 2), and one value used to be dropped
+    doc = json.loads(json.dumps(DOCS["quadratic_d3.json"]))
+    doc["payload"]["brackets"][key] = "x1"
+    scratch.write_text(json.dumps(doc))
+    assert assert_contract(scratch) == 3
+    assert "duplicate bracket (1,2)" in capsys.readouterr().err
+    del doc["payload"]["brackets"]["1,2"]  # alone, the key reads as (1, 2)
+    scratch.write_text(json.dumps(doc))
+    assert load_spec(scratch).structure.f[(0, 1)] == parse_poly(
+        "x1", doc["variables"])
