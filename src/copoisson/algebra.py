@@ -252,13 +252,19 @@ class _Sparse:
     def __bool__(self):
         return bool(self.terms)
 
+    def _same_kind(self, other):
+        """Whether other is of self's kind, Poly, Tensor2 or Tensor3 (the
+        class below _Sparse in the MRO): a SkewMatrix is a Tensor2."""
+        return (isinstance(other, _Sparse)
+                and type(self).__mro__[-3] is type(other).__mro__[-3])
+
     def __eq__(self, other):
-        return type(self) is type(other) and self.terms == other.terms
+        return self._same_kind(other) and self.terms == other.terms
 
     __hash__ = None
 
     def __add__(self, other):
-        if type(self) is not type(other):
+        if not self._same_kind(other):
             return NotImplemented
         out = dict(self.terms)
         axpy(out, other.terms)
@@ -268,7 +274,7 @@ class _Sparse:
         return self._trusted({k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other):
-        if type(self) is not type(other):
+        if not self._same_kind(other):
             return NotImplemented
         out = dict(self.terms)
         axpy(out, other.terms, -1)

@@ -229,8 +229,7 @@ def _qmap_to_itable(q, names):
                 "generator pairs")
         upper = {}
         for (u, v), c in val.terms.items():
-            i = next(idx for idx, e in enumerate(u) if e)
-            j = next(idx for idx, e in enumerate(v) if e)
+            i, j = u.index(1), v.index(1)
             if i < j:
                 upper[(i, j)] = c
         rows[m] = SkewMatrix.from_upper(q.d, upper)

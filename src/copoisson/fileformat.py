@@ -13,7 +13,6 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 
 from .algebra import (
     Monomial,
@@ -320,10 +319,23 @@ def spec_from_dict(doc):
                          max_degree=max_degree, structure=structure)
 
 
+def _unique_keys(pairs):
+    """A JSON object as a dict, refusing a key written twice, of which
+    json.load would keep the last value only."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise SpecFormatError(f"repeated key {key!r} in one JSON object")
+        obj[key] = value
+    return obj
+
+
 def load_spec(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
+    except SpecFormatError as e:
+        raise SpecFormatError(f"{path}: {e}") from None
     except OSError as e:
         raise SpecFormatError(
             f"{path}: cannot read: {e.strerror or e}") from None
@@ -354,11 +366,7 @@ def copoisson_payload(I, names):
         mat = I.rows[m]
         if mat.is_zero():
             continue
-        lam = []
-        for i, j in combinations(range(I.d), 2):
-            v = mat[i, j]
-            if v:
-                lam.append([i + 1, j + 1, format_coeff(v)])
+        lam = [[i + 1, j + 1, format_coeff(v)] for i, j, v in mat.upper()]
         rows.append({"monomial": format_monomial(m, names), "lambda": lam})
     return {"rows": rows}
 

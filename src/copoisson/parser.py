@@ -8,6 +8,8 @@ Accepted grammar (no implicit multiplication):
     atom    := rational | integer | variable | "(" expr ")"
 
 Rational literals like 3/4 are single tokens, not a division operator.
+Tokens are read as the parser asks for them, so the error reported is the
+leftmost one, and no text past a refusal is read.
 A term's plain factors (numbers, variables and their integer powers, with
 any unary signs) are read straight into one coefficient and one exponent
 vector; only parenthesized factors are multiplied as polynomials.
@@ -20,7 +22,12 @@ min(t1*t2, C(d+deg1+deg2, d)) is.  A number c^n, c not 0, 1 or -1, is
 refused when n times the bit length of c's numerator or denominator is
 past int()'s digit limit on literals, sys.get_int_max_str_digits(), and
 so is a power of a sum of t > 1 terms when n times (the largest such bit
-length among its coefficients, plus t.bit_length()) is.
+length among its coefficients, plus t.bit_length()) is.  A product of two
+numbers in a term, or of two parenthesized factors, is refused when
+bits1 + bits2 + log2 min(t1, t2) is past that limit, bits the largest bit
+length among a factor's coefficients and t its number of terms, unless no
+coefficient can grow: one factor has at most one term, and one has only
+coefficients 1 and -1.
 """
 
 from __future__ import annotations
@@ -38,6 +45,28 @@ MAX_POWER_TERMS = 128  # (x1 + 7654321/1234567)^127 parses in about 0.2 s
 _ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
 
 
+def _bits(c):
+    """The bit length of c's numerator or denominator, the longer one."""
+    return max(c.numerator.bit_length(), c.denominator.bit_length())
+
+
+def _product_past_limit(b1, b2, t):
+    """Whether a product of two factors, whose coefficients have at most b1
+    and b2 bits and the smaller of which has t terms, may have a
+    coefficient past the digit limit: each is a sum of at most t products,
+    so it has at most b1 + b2 + log2 t bits.  With t <= 1 and a bound <= 1
+    (coefficients 1 and -1 only), the product copies the other factor's
+    coefficients, and passes."""
+    limit = sys.get_int_max_str_digits()  # 0 when there is none
+    return ((t > 1 or min(b1, b2) > 1) and bool(limit)
+            and b1 + b2 + (t - 1).bit_length() > limit)
+
+
+def _past_limit_error(what, col):
+    return ParseError(
+        f"{what} past the {sys.get_int_max_str_digits()}-digit limit", col)
+
+
 class ParseError(ValueError):
     """Raised on malformed polynomial text; carries a 1-based column."""
 
@@ -52,7 +81,8 @@ _TOKEN_RE = re.compile(
 
 
 def _tokenize(src):
-    tokens = []
+    """Yield the tokens of src as the parser asks for them, the last one
+    ("end", None, column): text past a refusal is never read."""
     pos = 0
     while pos < len(src):
         m = _TOKEN_RE.match(src, pos)
@@ -73,31 +103,32 @@ def _tokenize(src):
                 raise ParseError("integer literal too long", col) from None
             if den == 0:
                 raise ParseError("zero denominator", col)
-            tokens.append(("num", Fraction(num, den), col))
+            yield ("num", Fraction(num, den), col)
         elif kind == "name":
-            tokens.append(("name", text, col))
+            yield ("name", text, col)
         else:
-            tokens.append((text, text, col))
+            yield (text, text, col)
         pos = m.end()
-    tokens.append(("end", None, len(src) + 1))
-    return tokens
+    yield ("end", None, len(src) + 1)
 
 
 class _Parser:
     def __init__(self, src, variables):
         self.tokens = _tokenize(src)
-        self.pos = 0
+        self.next = None  # the token peeked at, not yet taken
         self.depth = 0
         self.variables = list(variables)
         self.index = {name: i for i, name in enumerate(self.variables)}
         self.d = len(self.variables)
 
     def peek(self):
-        return self.tokens[self.pos]
+        if self.next is None:
+            self.next = next(self.tokens)
+        return self.next
 
     def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
+        tok = self.peek()
+        self.next = None
         return tok
 
     def expect(self, kind):
@@ -128,15 +159,23 @@ class _Parser:
         while True:
             f = self.factor()
             if type(f) is Poly:
-                if poly is not None and MAX_POWER_TERMS < min(
-                        len(poly.terms) * len(f.terms),
-                        comb(self.d + poly.degree() + f.degree(), self.d)):
-                    raise ParseError(f"product may have more than "
-                                     f"{MAX_POWER_TERMS} terms", col)
+                if poly is not None:
+                    if MAX_POWER_TERMS < min(
+                            len(poly.terms) * len(f.terms),
+                            comb(self.d + poly.degree() + f.degree(), self.d)):
+                        raise ParseError(f"product may have more than "
+                                         f"{MAX_POWER_TERMS} terms", col)
+                    if _product_past_limit(
+                            max(map(_bits, poly.terms.values()), default=0),
+                            max(map(_bits, f.terms.values()), default=0),
+                            min(len(poly.terms), len(f.terms))):
+                        raise _past_limit_error("product", col)
                 poly = f if poly is None else poly * f
             else:
                 c, i, n = f
                 if c is not None:
+                    if _product_past_limit(_bits(coeff), _bits(c), 1):
+                        raise _past_limit_error("product", col)
                     coeff *= c
                 if i is not None:
                     exps[i] += n
@@ -193,12 +232,11 @@ class _Parser:
                 comb(t + n - 1, n), comb(self.d + n * f.degree(), self.d))):
             raise ParseError(f"power of a sum may have more than "
                              f"{MAX_POWER_TERMS} terms", tok[2])
-        bits = max((max(c.numerator.bit_length(), c.denominator.bit_length())
-                    for c in cs), default=0) + (t.bit_length() if t > 1 else 0)
+        bits = max(map(_bits, cs), default=0) + (t.bit_length() if t > 1 else 0)
         limit = sys.get_int_max_str_digits()  # 0 when there is none
         if limit and bits > 1 and n * bits > limit:  # bits <= 1: 0, 1, -1
-            raise ParseError(f"power of a {'sum' if t > 1 else 'number'} "
-                             f"past the {limit}-digit limit", tok[2])
+            raise _past_limit_error(
+                f"power of a {'sum' if t > 1 else 'number'}", tok[2])
         if type(f) is not Poly:
             c, i, e = f
             return (c ** n if c is not None else None, i, e * n)

@@ -29,60 +29,64 @@ from .algebra import (
 from .hopf import PMap, QMap, q_from_i
 
 
-@dataclass(frozen=True)
-class SkewMatrix:
-    """A d x d skew-symmetric rational matrix, stored as a tuple of rows."""
+class SkewMatrix(Tensor2):
+    """The skew 2-tensor sum_{i<j} lambda^ij (x_i (x) x_j - x_j (x) x_i) in
+    d variables, indexed as the d x d skew matrix (lambda^ij): `terms`
+    holds lambda^ij at (x_i, x_j) and -lambda^ij at (x_j, x_i) for each
+    nonzero lambda^ij, and nothing else.  It compares as a Tensor2, and
+    its sums, negatives and multiples are plain Tensor2s."""
 
-    entries: tuple
+    __slots__ = ("d",)
 
     @classmethod
     def from_rows(cls, rows):
         d = len(rows)
-        ent = tuple(tuple(Fraction(v) for v in row) for row in rows)
-        for row in ent:
+        ent = [[Fraction(v) for v in row] for row in rows]
+        for i, row in enumerate(ent):
             if len(row) != d:
                 raise ValueError("skew matrix must be square")
-        for i in range(d):
-            if ent[i][i]:
-                raise ValueError(f"nonzero diagonal entry at ({i},{i})")
-            for j in range(i + 1, d):
-                if ent[i][j] != -ent[j][i]:
+            for j in range(i + 1):  # j == i: a nonzero diagonal entry
+                if row[j] != -ent[j][i]:
                     raise ValueError(f"entries ({i},{j}) and ({j},{i}) not skew")
-        return cls(ent)
+        return cls.from_upper(d, {(i, j): ent[i][j] for i in range(d)
+                                  for j in range(i + 1, d)})
 
     @classmethod
     def from_upper(cls, d, upper):
         """Build from {(i, j): value} with 0 <= i < j < d."""
-        rows = [[Fraction(0)] * d for _ in range(d)]
+        g = generators(d)
+        terms = {}
         for (i, j), v in upper.items():
             if not 0 <= i < j < d:
                 raise ValueError(f"upper entries must have i<j, got ({i},{j})")
             v = Fraction(v)
-            rows[i][j] = v
-            rows[j][i] = -v
-        return cls.from_rows(rows)
+            if v:
+                terms[g[i], g[j]] = v
+                terms[g[j], g[i]] = -v
+        mat = object.__new__(cls)
+        mat.terms, mat.d = terms, d
+        return mat
 
     @classmethod
     def zero(cls, d):
-        return cls(tuple((Fraction(0),) * d for _ in range(d)))
+        return cls.from_upper(d, {})
 
-    @property
-    def d(self):
-        return len(self.entries)
+    _trusted = Tensor2._trusted
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i][j]
+        g = generators(self.d)
+        return self.terms.get((g[i], g[j]), Fraction(0))
 
-    def is_zero(self):
-        return all(not v for row in self.entries for v in row)
+    def upper(self):
+        """The nonzero entries (i, j, lambda^ij), i < j, in (i, j) order."""
+        entries = ((u.index(1), v.index(1), c)
+                   for (u, v), c in self.terms.items())
+        return sorted(e for e in entries if e[0] < e[1])
 
     def to_tensor2(self):
-        """sum lambda^ij x_i (x) x_j as an element of the skew space."""
-        g = generators(self.d)
-        return Tensor2._trusted({(g[i], g[j]): v
-                                 for i, row in enumerate(self.entries)
-                                 for j, v in enumerate(row) if v})
+        """sum lambda^ij x_i (x) x_j in the skew space: the matrix itself."""
+        return self
 
 
 @dataclass(frozen=True)
@@ -90,22 +94,21 @@ class ITable(QMap):
     """The family {lambda_a^ij}: monomials -> skew matrices, i.e. I: A -> the
     span of the skew generator 2-tensors, a QMap of that span.  Absent rows
     are zero.  Frozen: `rows` is a read-only copy checked at construction,
-    and `assignments`, which QMap's lookup, bound check and scaled() read,
-    holds each row's 2-tensor, built once from it."""
+    and it is also `assignments`, which QMap's lookup, bound check and
+    scaled() read, so each row is stored once, as its SkewMatrix."""
 
     assignments: dict = field(default=None, init=False, compare=False,
                               repr=False)
     rows: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        # in place of QMap's, which would check and copy the rows again
         frozen_entries(self, "rows", "row")
         for m, mat in self.rows.items():
             if mat.d != self.d:
                 raise DimensionMismatchError(
                     f"row {m!r} inconsistent with d={self.d}")
-        object.__setattr__(self, "assignments", {
-            m: mat.to_tensor2() for m, mat in self.rows.items()})
-        super().__post_init__()
+        object.__setattr__(self, "assignments", self.rows)
 
     def matrix(self, m):
         mat = self.rows.get(m)
@@ -291,16 +294,12 @@ def copoisson_from_series(B):
 def series_from_copoisson(I):
     """Inverse of copoisson_from_series: f_ij = sum_a (entry_a / a!) a."""
     f = {}
-    for i, j in combinations(range(I.d), 2):
-        terms = {}
-        for m, mat in I.rows.items():
-            v = mat[i, j]
-            if v:
-                terms[m] = v / factorial(m)
-        p = Poly(terms)
-        if p:
-            f[(i, j)] = p
-    return BracketTable(d=I.d, f=f, truncation_degree=I.domain_degree_bound)
+    for m, mat in I.rows.items():
+        fac = factorial(m)
+        for i, j, v in mat.upper():
+            f.setdefault((i, j), {})[m] = v / fac
+    return BracketTable(d=I.d, f={ij: Poly(f[ij]) for ij in sorted(f)},
+                        truncation_degree=I.domain_degree_bound)
 
 
 def _embed(m, left_pad, right_pad):

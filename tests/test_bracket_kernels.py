@@ -236,11 +236,11 @@ def test_make_copoisson_matches_unscaled_q_from_i(rng):
         I = random_itable(rng, d, bound, density=0.6)
         # entries n/k with |n| <= 4, divided by 6: none is an integer
         I = ITable(d=d, domain_degree_bound=bound, rows={
-            m: SkewMatrix(tuple(tuple(v / 6 for v in row)
-                                for row in mat.entries))
+            m: SkewMatrix.from_upper(d, {(i, j): v / 6
+                                         for i, j, v in mat.upper()})
             for m, mat in I.rows.items()})
         assert any(v.denominator > 1 for mat in I.rows.values()
-                   for row in mat.entries for v in row)
+                   for v in mat.terms.values())
         q = make_copoisson(I)
         for m in monomials(d, bound):
             want = q_from_i(I, m)

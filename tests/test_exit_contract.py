@@ -1,7 +1,8 @@
 """The exit-code contract of `copoisson check` on hostile input files.
 
 Every fixture has each value below its root replaced, one at a time, by a
-value of a wrong JSON type, and deeply nested JSON is read as well.  On
+value of a wrong JSON type, and a key of each of its objects written
+twice; deeply nested JSON is read as well.  On
 each, `main` must return (nothing escapes it), the code must be one that
 README.md documents other than 4, "internal error", and 1, "a check
 failed", must come only with a report that holds a failed check.
@@ -202,3 +203,59 @@ def test_two_keys_for_one_bracket_exit_3(scratch, capsys, key):
     scratch.write_text(json.dumps(doc))
     assert load_spec(scratch).structure.f[(0, 1)] == parse_poly(
         "x1", doc["variables"])
+
+
+def value_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def with_repeated_key(doc, path):
+    """The JSON text of doc with the first key of the object at `path`
+    written twice, with the same value: json.dumps cannot write that."""
+    obj = value_at(doc, path)
+    first, value = next(iter(obj.items()))
+    text = ("{" + json.dumps(first) + ": " + json.dumps(value) + ", "
+            + json.dumps(obj)[1:])
+    if not path:
+        return text
+    marker = "repeated-key marker"
+    return json.dumps(replaced(doc, path, marker)).replace(
+        json.dumps(marker), text)
+
+
+# every nonempty JSON object of every fixture: the root, the payload, the
+# brackets and each row
+OBJECTS = [(name, path) for name, doc in DOCS.items()
+           for path in [(), *value_paths(doc)]
+           if isinstance(value_at(doc, path), dict) and value_at(doc, path)]
+
+
+def test_a_repeated_key_in_any_object_exits_3(scratch, capsys):
+    # json.load keeps the last value of a repeated key, so one value of a
+    # bracket written twice used to be dropped without a word
+    assert {path[:2] for _, path in OBJECTS} >= {
+        (), ("payload",), ("payload", "brackets"), ("payload", "rows")}
+    for name, path in OBJECTS:
+        doc = DOCS[name]
+        scratch.write_text(with_repeated_key(doc, path))
+        assert assert_contract(scratch) == 3, (name, path)
+        key = next(iter(value_at(doc, path)))
+        assert f"repeated key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bracket", [
+    "*".join(["2^2000"] * 2000), "*".join(["(2^2000*x1 + 2^2000)"] * 127)],
+    ids=["numbers", "parenthesized"])
+def test_a_product_past_the_digit_limit_exits_3_at_once(scratch, capsys,
+                                                       bracket):
+    # the product of numbers kept check --checks jacobi busy for 23.7 s
+    doc = json.loads(json.dumps(DOCS["quadratic_d3.json"]))
+    doc["payload"]["brackets"]["1,2"] = bracket
+    scratch.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert main(["check", str(scratch), "--checks", "jacobi"],
+                out=io.StringIO()) == 3
+    assert time.perf_counter() - start < 1
+    assert "product past the 4300-digit limit" in capsys.readouterr().err

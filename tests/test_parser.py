@@ -96,6 +96,10 @@ def test_syntax_errors_positioned():
         parse_poly("", VARS2)
     with pytest.raises(ParseError):
         parse_poly("x1 @ x2", VARS2)
+    # tokens are read as they are needed: the leftmost error is reported
+    with pytest.raises(ParseError, match="unexpected token 'x2'") as e:
+        parse_poly("x1 x2 @ 1/0", VARS2)
+    assert e.value.column == 4
 
 
 def test_zero_denominator():
@@ -187,6 +191,30 @@ def test_sum_power_coefficient_limit():
             parse_poly(text, VARS2)
         assert time.perf_counter() - start < 0.1, text
         assert exc.value.column == text.rindex("^") + 2, text
+
+
+def test_product_coefficient_limit():
+    # a product of two numbers in a term, or of two parenthesized factors:
+    # bits1 + bits2 + log2 min(t1, t2) may not pass the same limit; both
+    # are refused at their third factor, and the text after it is not read
+    numbers = "*".join(["2^2000"] * 4000)
+    grouped = "*".join(["(2^2000*x1 + 2^2000)"] * 127)
+    for text, column in [(numbers, 2 * len("2^2000*")),
+                         (grouped, 2 * len("(2^2000*x1 + 2^2000)*"))]:
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="product past the "
+                                             "4300-digit limit") as exc:
+            parse_poly(text, VARS2)
+        assert time.perf_counter() - start < 0.1, text[:40]
+        assert exc.value.column == column, text[:40]  # at the second "*"
+    # 2001 + 2001 bits, and 2001 + 2001 + log2 2 for the parenthesized
+    assert parse_poly("2^2000*2^2000", VARS2) == Poly.constant(2, 2 ** 4000)
+    assert len(parse_poly(grouped[:2 * len("(2^2000*x1 + 2^2000)") + 1],
+                          VARS2).terms) == 3
+    # 1, -1 and 0 never grow a coefficient, however long the other one
+    big = "9" * 2500
+    assert len(parse_poly(f"-{big}*x2*-1*x1", VARS2).terms) == 1
+    assert len(parse_poly(f"(x1 + x2)*({big})", VARS2).terms) == 2
 
 
 def test_non_text_is_a_parse_error():

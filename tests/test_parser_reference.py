@@ -6,12 +6,13 @@ expression a chain of Poly sums.  It shares only the tokenizer with the
 library.  On valid text both must give the same terms with the same value
 types; on malformed text, the same ParseError message and column.  The
 reference applies the documented limits on powers of sums, on products of
-parenthesized factors and on powers of numbers by counting, not through
-the library's binomials and bit lengths.
+parenthesized factors, on powers of numbers and on the coefficients of
+products by counting, not through the library's binomials and bit
+lengths.
 """
 
 import sys
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, count, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -74,6 +75,23 @@ def past_sum_digit_limit(p, n):
     return bool(limit) and n * (digits + len(format(len(p.terms), "b"))) > limit
 
 
+def past_product_digit_limit(p, f):
+    """The documented limit on the coefficients of a product of two factors:
+    the most binary digits of a numerator or denominator of each, summed,
+    plus log2 of the fewer terms rounded up, past int()'s digit limit on
+    literals; unless one factor has at most one term and one has only
+    coefficients 1 and -1, so that no coefficient grows."""
+    if min(len(p.terms), len(f.terms)) <= 1 and any(
+            all(abs(c) == 1 for c in g.terms.values()) for g in (p, f)):
+        return False
+    limit = sys.get_int_max_str_digits()
+    digits = sum(max(len(format(abs(v), "b")) for c in g.terms.values()
+                     for v in (c.numerator, c.denominator)) for g in (p, f))
+    t = min(len(p.terms), len(f.terms))
+    return bool(limit) and digits + next(
+        k for k in count() if 2 ** k >= t) > limit
+
+
 def past_power_limit(t, n, d, deg):
     """The documented limit on a power p^n of a sum of t > 1 terms of
     degree deg in d variables, counted rather than taken from binomials:
@@ -89,7 +107,7 @@ def past_power_limit(t, n, d, deg):
 class ReferenceParser:
     def __init__(self, src, variables):
         self.tokens = _tokenize(src)
-        self.pos = 0
+        self.next = None
         self.depth = 0
         self.parenthesized = False  # whether the last factor's base was
         self.variables = list(variables)
@@ -97,11 +115,14 @@ class ReferenceParser:
         self.d = len(self.variables)
 
     def peek(self):
-        return self.tokens[self.pos]
+        # a token is read only when asked for, as in the library
+        if self.next is None:
+            self.next = next(self.tokens)
+        return self.next
 
     def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
+        tok = self.peek()
+        self.next = None
         return tok
 
     def expect(self, kind):
@@ -127,17 +148,28 @@ class ReferenceParser:
 
     def term(self):
         p = self.factor()
-        grouped = p if self.parenthesized else None
+        # the limits count the parenthesized factors and the plain ones apart
+        grouped, plain = (p, None) if self.parenthesized else (None, p)
         while self.peek()[0] == "*":
             col = self.advance()[2]
             f = self.factor()
             if self.parenthesized:
-                # the limit counts the parenthesized factors alone
                 if grouped is not None and past_product_limit(
                         grouped, f, self.d):
                     raise ParseError(f"product may have more than "
                                      f"{MAX_POWER_TERMS} terms", col)
+                if grouped is not None and past_product_digit_limit(
+                        grouped, f):
+                    raise ParseError(f"product past the "
+                                     f"{sys.get_int_max_str_digits()}-digit "
+                                     f"limit", col)
                 grouped = f if grouped is None else grouped * f
+            else:
+                if plain is not None and past_product_digit_limit(plain, f):
+                    raise ParseError(f"product past the "
+                                     f"{sys.get_int_max_str_digits()}-digit "
+                                     f"limit", col)
+                plain = f if plain is None else plain * f
             p = p * f
         return p
 
@@ -327,6 +359,16 @@ EDGE = [
     "(x1 + 1099511627776)^100", "-(x1 + 2199023255552)^100",
     "(x1 + 1/1099511627776)^100", "(x1 - 1/2199023255552)^100",
     "(x1 + x2 + 2/3)^2*(x3 + " + "9" * 1000 + ")^5",
+    # products of numbers and of parenthesized factors at and past the
+    # digit limit: 2151 + 2149 (+ log2 1) = 4300 passes, 4301 does not
+    "2^2150*2^2148", "2^2150*x1*2^2149", "2^2000*2^2000*3",
+    "*".join(["2^2000"] * 400), "(2^2150*x1)*(2^2148*x2 + 1)",
+    "(2^2150*x1 + 1)*(2^2148*x2 + 1)", "(2^2150*x1)*(-2^2149*x2)",
+    "*".join(["(2^2000*x1 + 2^2000)"] * 127),
+    # one coefficient, past the limit alone, times 1, -1 or 0
+    "9" * 2500 + "*x2", "-" + "9" * 2500 + "*-1*x1*0", "3*" + "9" * 2500,
+    "(" + "9" * 2500 + "*x1)*(x1 - x2 + x3)", "(x1 + x2)*(" + "9" * 2500 + ")",
+    "(x1 - x1)*(" + "9" * 2500 + "*x1 + 3)", "(2*x1)*(" + "9" * 2500 + ")",
 ]
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 import copoisson.checks
 from copoisson.algebra import (
     Monomial, Poly, Tensor2, bump, monomials, splittings)
+from copoisson.cli import _qmap_to_itable
+from copoisson.fileformat import load_spec
 from copoisson.hopf import QMap
 from copoisson.structures import (
     BracketTable,
@@ -30,7 +33,8 @@ from copoisson.checks import (
     cojacobi_affordable_degree,
 )
 
-from conftest import random_bracket, random_itable, random_poly, so3_consts
+from conftest import (
+    FIXTURES, random_bracket, random_itable, random_poly, so3_consts)
 
 
 def mono(*exps):
@@ -56,6 +60,45 @@ def test_itable_to_tensor():
     x, y = mono(1, 0), mono(0, 1)
     assert t == Tensor2.from_pair(x, y, 3) + Tensor2.from_pair(y, x, -3)
     assert I(mono(0, 1)).is_zero()
+
+
+def fixture_itables():
+    """The I-table of each fixture that has one: its own and the one read
+    back from its q-map, the one of its structure constants, or the one
+    of its bracket read as a series truncated at its max_degree."""
+    for path in sorted(FIXTURES.glob("*.json")):
+        spec = load_spec(path)
+        s = spec.structure
+        if spec.kind == "copoisson":
+            yield s
+            yield _qmap_to_itable(make_copoisson(s), spec.variables)
+        elif spec.kind == "struct_consts":
+            yield itable_from_consts(s)
+        elif spec.kind == "poisson":
+            yield copoisson_from_series(
+                BracketTable(s.d, s.f, truncation_degree=spec.max_degree))
+
+
+def test_each_row_is_stored_once_as_its_skew_tensor(rng):
+    fixtures = list(fixture_itables())
+    assert len(fixtures) == 8 and all(I.rows for I in fixtures)
+    for I in fixtures + [random_itable(rng, rng.choice([2, 3, 4]),
+                                       rng.choice([1, 2, 3]))
+                         for _ in range(12)]:
+        for m, mat in I.rows.items():
+            assert I.matrix(m).to_tensor2() is I(m) is mat
+            d = mat.d
+            upper = {(i, j): v for i, j, v in mat.upper()}
+            assert upper and all(upper.values())
+            dense = [[mat[i, j] for j in range(d)] for i in range(d)]
+            for other in (SkewMatrix.from_rows(dense),
+                          SkewMatrix.from_upper(d, upper)):
+                assert other.d == d and other.terms == mat.terms
+            # zeros at the other pairs are not kept
+            padded = SkewMatrix.from_upper(d, {
+                **dict.fromkeys(combinations(range(d), 2), 0), **upper})
+            assert padded.terms == mat.terms and all(padded.terms.values())
+            assert len(mat.terms) == 2 * len(upper)
 
 
 def test_poisson_bracket_so3():
