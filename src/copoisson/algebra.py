@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
-from math import comb, factorial as int_factorial, lcm
+from math import comb, factorial as int_factorial, gcd, lcm
 from operator import add, sub
 from types import MappingProxyType
 
@@ -82,6 +82,7 @@ class Monomial(tuple):
 _trusted_monomial = partial(tuple.__new__, Monomial)
 
 
+@lru_cache(maxsize=4096)
 def grlex_key(m):
     # within a degree, higher power of an earlier variable sorts first
     return (m.degree, tuple(-e for e in m))
@@ -287,6 +288,12 @@ class _Sparse:
         return self._trusted({k: c * v for k, v in self.terms.items()})
 
     def __truediv__(self, c):
+        if type(c) is int:
+            # Fraction(v, c) reduces once; Fraction(1, c) * v would twice
+            if not c:
+                raise ZeroDivisionError(f"{type(self).__name__} / 0")
+            return self._trusted(
+                {k: Fraction(v, c) for k, v in self.terms.items()})
         return self.scale(Fraction(1, c))
 
     def __rmul__(self, c):
@@ -386,7 +393,7 @@ class Tensor3(_Sparse):
         return cls({(m1, m2, m3): Fraction(coeff)})
 
     def _sort_key(self, key):
-        return tuple(grlex_key(m) for m in key)
+        return tuple(map(grlex_key, key))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -449,7 +456,7 @@ def default_names(d):
 
 def format_monomial(m, names=None):
     if names is None:
-        names = default_names(len(m))
+        return _format_monomial_default(m)
     parts = []
     for i, e in enumerate(m):
         if e == 1:
@@ -457,6 +464,11 @@ def format_monomial(m, names=None):
         elif e > 1:
             parts.append(f"{names[i]}^{e}")
     return "*".join(parts) if parts else "1"
+
+
+@lru_cache(maxsize=4096)
+def _format_monomial_default(m):
+    return format_monomial(m, default_names(len(m)))
 
 
 def _decimal(n):
@@ -472,13 +484,21 @@ def _decimal(n):
     return _decimal(high) + _decimal(low).zfill(k)
 
 
-def format_coeff(c):
-    c = Fraction(c)
-    num = _decimal(c.numerator)
-    return num if c.denominator == 1 else f"{num}/{_decimal(c.denominator)}"
+def format_coeff(c, den=1):
+    """The rational c / den in lowest terms; den is a positive int.  A
+    scaled witness is written from its integer residual this way, with
+    one gcd and no Fraction."""
+    num, den = c.numerator, c.denominator * den
+    if den != 1:
+        g = gcd(num, den)
+        num, den = num // g, den // g
+    text = _decimal(num)
+    return text if den == 1 else f"{text}/{_decimal(den)}"
 
 
-def _format_terms(items, render_key):
+def _format_terms(items, render_key, den):
+    """The terms (key, c), each c / den, as a signed sum; a coefficient of
+    magnitude 1 is left out, except on the unit monomial."""
     if not items:
         return "0"
     out = []
@@ -486,11 +506,11 @@ def _format_terms(items, render_key):
         mono = render_key(key)
         mag = abs(c)
         if mono == "1":
-            body = format_coeff(mag)
-        elif mag == 1:
+            body = format_coeff(mag, den)
+        elif mag == den:
             body = mono
         else:
-            body = f"{format_coeff(mag)}*{mono}"
+            body = f"{format_coeff(mag, den)}*{mono}"
         if not out:
             out.append(body if c > 0 else f"-{body}")
         else:
@@ -498,12 +518,15 @@ def _format_terms(items, render_key):
     return " ".join(out)
 
 
-def format_poly(p, names=None):
-    return _format_terms(p.items_sorted(), lambda m: format_monomial(m, names))
+def format_poly(p, names=None, den=1):
+    """p / den, den a positive int."""
+    return _format_terms(p.items_sorted(),
+                         lambda m: format_monomial(m, names), den)
 
 
-def format_tensor(t, names=None):
-    """A Tensor2 or Tensor3, with factors joined by "(x)"."""
+def format_tensor(t, names=None, den=1):
+    """A Tensor2 or Tensor3 divided by den, a positive int, with factors
+    joined by "(x)"."""
     def render(key):
-        return "(x)".join(format_monomial(m, names) for m in key)
-    return _format_terms(t.items_sorted(), render)
+        return "(x)".join([format_monomial(m, names) for m in key])
+    return _format_terms(t.items_sorted(), render, den)

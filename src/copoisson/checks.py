@@ -8,17 +8,16 @@ Every check reports through one witness loop, `_check`.  The co-side and
 the bracket side (Jacobi, Hopf compatibility, eps/S) run on the int-valued
 copy from `scaled()`: D q for a QMap q or an I-table (an `ITable` is a
 `QMap`, so both are read through one lookup), D B for a bracket table.
-Only a rendered witness is divided back by D (D^2 for Jacobi and
-co-Jacobi).  A table makes its scaled() pair once and keeps it (a `QMap`
-is frozen), so the checks of one table share one copy; D is any common
-denominator, not necessarily the least, as make_copoisson hands q the D
-of its I-table.
+A witness is written from its integer residual, each coefficient c as
+c/D^p in lowest terms (p = 2 for Jacobi and co-Jacobi, else 1).  A table
+makes its scaled() pair once and keeps it (a `QMap` is frozen), so the
+checks of one table share one copy; D is any common denominator, not
+necessarily the least, as make_copoisson hands q the D of its I-table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb
@@ -130,9 +129,10 @@ def _scaled_check(name, table, N, residual, power=1, need=None,
 
     residual(t, key) is the identity's residual on t = D * table at each
     key of domain(d, N); it is homogeneous of degree `power` in t, so a
-    witness is the residual divided by D**power.  On the co-side `need`
-    (default N) is the table bound the check reads, and a DegreeBoundError
-    names check_<name>; a BracketTable has no such bound.
+    witness is the residual divided by D**power, which
+    render(res, den=D**power) writes from the integer residual.  On the
+    co-side `need` (default N) is the table bound the check reads, and a
+    DegreeBoundError names check_<name>; a BracketTable has no such bound.
     """
     need = N if need is None else need
     if need > getattr(table, "domain_degree_bound", need):
@@ -141,7 +141,7 @@ def _scaled_check(name, table, N, residual, power=1, need=None,
                                f"have {table.domain_degree_bound}")
     t, D = table.scaled()
     return _check(name, N, domain(t.d, N), lambda key: residual(t, key),
-                  describe, lambda res: render(res / Fraction(D ** power)))
+                  describe, lambda res: render(res, den=D ** power))
 
 
 def check_skew(q, N):
@@ -231,11 +231,11 @@ def _coleibniz_residual(form, t, m):
     return Tensor3._trusted(out)
 
 
-def _format_counit_kill(res):
+def _format_counit_kill(res, den=1):
     left = {v: c for (u, v), c in res.terms.items() if u.degree == 0}
     right = {u: c for (u, v), c in res.terms.items() if v.degree == 0}
-    return (f"(eps(x)1)q = {format_poly(Poly._trusted(left))}; "
-            f"(1(x)eps)q = {format_poly(Poly._trusted(right))}")
+    return (f"(eps(x)1)q = {format_poly(Poly._trusted(left), den=den)}; "
+            f"(1(x)eps)q = {format_poly(Poly._trusted(right), den=den)}")
 
 
 def check_counit_kill(q, N):
@@ -396,8 +396,8 @@ def check_eps_s_morphisms(B, N, compat=None):
         return (eps, s_res) if eps or s_res else None
     return _check("eps-s-morphisms", N, _pairs(B.d, N), residual, _format_pair,
                   lambda r: "eps residual = "
-                            f"{format_coeff(Fraction(r[0], D))}; "
-                            f"S residual = {format_poly(r[1] / D)}")
+                            f"{format_coeff(r[0], D)}; "
+                            f"S residual = {format_poly(r[1], den=D)}")
 
 
 def check_antipode_coanti(q, N):

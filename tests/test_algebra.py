@@ -2,6 +2,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from copoisson.algebra import (
     DimensionMismatchError,
@@ -10,17 +11,21 @@ from copoisson.algebra import (
     Tensor2,
     Tensor3,
     binomial,
+    _Sparse,
     cyclic_sum,
+    default_names,
     factorial,
     format_coeff,
     format_monomial,
     format_poly,
+    format_tensor,
     grlex_key,
     monomials,
     splittings,
     t2_swap,
     t3_cycle,
 )
+from copoisson.checks import _format_counit_kill
 
 from conftest import unlimited_int_str
 
@@ -141,3 +146,128 @@ def test_format_coeff_past_the_int_str_limit(digits):
     with unlimited_int_str():
         want = str(10 ** (digits + 700) + 1)
     assert format_coeff(10 ** (digits + 700) + 1) == want
+
+
+# The divide-then-format path that scaled witnesses took before they were
+# written from the integer residual: divide a copy by Fraction(D ** p),
+# then write each Fraction term.  str() stands in for _decimal.
+def _old_coeff(c):
+    c = Fraction(c)
+    return (str(c.numerator) if c.denominator == 1
+            else f"{c.numerator}/{c.denominator}")
+
+
+def _old_terms(items, render_key):
+    out = []
+    for key, c in items:
+        mono, mag = render_key(key), abs(c)
+        if mono == "1":
+            body = _old_coeff(mag)
+        elif mag == 1:
+            body = mono
+        else:
+            body = f"{_old_coeff(mag)}*{mono}"
+        if not out:
+            out.append(body if c > 0 else f"-{body}")
+        else:
+            out.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(out) if out else "0"
+
+
+def _old_mono(m):
+    return format_monomial(m, default_names(len(m)))  # bypasses the memo
+
+
+def _old_render(t, den):
+    t = t / Fraction(den)
+    if isinstance(t, Poly):
+        return _old_terms(t.items_sorted(), _old_mono)
+    return _old_terms(t.items_sorted(),
+                      lambda key: "(x)".join(map(_old_mono, key)))
+
+
+def _old_counit_kill(t, den):
+    t = t / Fraction(den)
+    left = {v: c for (u, v), c in t.terms.items() if u.degree == 0}
+    right = {u: c for (u, v), c in t.terms.items() if v.degree == 0}
+    return (f"(eps(x)1)q = {_old_render(Poly._trusted(left), 1)}; "
+            f"(1(x)eps)q = {_old_render(Poly._trusted(right), 1)}")
+
+
+def _assert_renders_as_before(t, den):
+    with unlimited_int_str():
+        want = _old_render(t, den)
+        want_kill = _old_counit_kill(t, den) if isinstance(t, Tensor2) else None
+    new = format_poly if isinstance(t, Poly) else format_tensor
+    assert new(t, den=den) == want
+    if want_kill is not None:
+        assert _format_counit_kill(t, den=den) == want_kill
+
+
+@st.composite
+def _scaled_residuals(draw):
+    """(t, D ** p): an int-valued Poly, Tensor2 or Tensor3 over d <= 3
+    variables, some of whose coefficients are +-D ** p or past 2000 bits."""
+    d = draw(st.integers(1, 3))
+    den = draw(st.integers(1, 12)) ** draw(st.sampled_from((1, 2)))
+    kind, parts = draw(st.sampled_from(((Poly, 1), (Tensor2, 2),
+                                        (Tensor3, 3))))
+    mono = st.tuples(*[st.integers(0, 2)] * d).map(Monomial)
+    key = mono if parts == 1 else st.tuples(*[mono] * parts)
+    coeff = st.one_of(st.integers(-30, 30), st.sampled_from((den, -den)),
+                      st.integers(2 ** 2000, 2 ** 2100),
+                      st.integers(-2 ** 2100, -2 ** 2000))
+    terms = draw(st.dictionaries(key, coeff.filter(bool), max_size=6))
+    return kind._trusted(terms), den
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scaled_residuals())
+def test_rendering_from_the_integer_residual_is_unchanged(case):
+    _assert_renders_as_before(*case)
+
+
+def test_rendering_from_the_integer_residual_edge_cases():
+    one, x, y = Monomial((0, 0)), Monomial((1, 0)), Monomial((0, 1))
+    big = 3 ** 1400 * 7  # 2222 bits: _decimal splits it
+    for den in (1, 2, 9, 144):
+        for c in (den, -den, 2 * den, 1, -1, big, -big, big * den):
+            _assert_renders_as_before(Poly._trusted({one: c, x: -c}), den)
+            _assert_renders_as_before(
+                Tensor2._trusted({(one, y): c, (x, one): c, (one, one): -c,
+                                  (x, y): 5}), den)
+            _assert_renders_as_before(
+                Tensor3._trusted({(one, one, one): c, (x, one, y): -c}), den)
+    assert format_poly(Poly._trusted({one: 4, x: -4}), den=4) == "1 - x1"
+    assert format_coeff(0, 6) == "0"
+    assert format_coeff(-6, 4) == "-3/2"
+    assert format_coeff(Fraction(3, 2), 3) == "1/2"
+
+
+def test_truediv_by_an_int(monkeypatch):
+    x, y = Monomial((1, 0)), Monomial((0, 1))
+    values = (3, -4, Fraction(5, 6), Fraction(-7, 2))
+    for t in (Poly._trusted(dict(zip((x, y, x * y, x * x), values))),
+              Tensor2._trusted(dict(zip(((x, y), (y, x), (x, x), (y, y)),
+                                        values))),
+              Tensor3._trusted(dict(zip(((x, y, x), (y, x, y), (x, x, x),
+                                         (y, y, y)), values)))):
+        for D in (1, 2, 3, 12, 35):
+            got, want = t / D, t.scale(Fraction(1, D))
+            assert type(got) is type(t) and got == want
+            assert all(type(v) is Fraction for v in got.terms.values())
+        with pytest.raises(ZeroDivisionError):
+            t / 0
+        with pytest.raises(ZeroDivisionError):
+            type(t)() / 0
+        # a Fraction divisor still goes through scale(1 / c); an int does not
+        calls = []
+        scale = _Sparse.scale
+        monkeypatch.setattr(_Sparse, "scale",
+                            lambda self, c: calls.append(c) or scale(self, c))
+        assert t / Fraction(3, 2) == t.scale(Fraction(2, 3))
+        assert calls == [Fraction(2, 3), Fraction(2, 3)]
+        calls.clear()
+        t / 3
+        assert calls == []
+        monkeypatch.undo()

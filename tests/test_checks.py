@@ -586,9 +586,9 @@ def test_only_the_kept_witnesses_are_formatted(monkeypatch):
     assert len(want) > WITNESS_CAP
     rendered = []
 
-    def render(t):
+    def render(t, names=None, den=1):
         rendered.append(t)
-        return format_tensor(t)
+        return format_tensor(t, names, den=den)
 
     got = _scaled_check("skew", q, N, lambda t, m: t(m) + t2_swap(t(m)),
                         render=render)

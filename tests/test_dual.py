@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from copoisson.algebra import (
     Monomial,
     Poly,
@@ -8,8 +10,10 @@ from copoisson.algebra import (
     splittings,
 )
 from copoisson.dual import dual_bracket, pairing, verify_main5_roundtrip
+from copoisson.finite import rref
 from copoisson.structures import (
     BracketTable,
+    bracket_monomials,
     copoisson_from_series,
     itable_from_consts,
     linear_poisson,
@@ -140,3 +144,39 @@ def test_verify_main5_jacobi_precondition():
     rep = verify_main5_roundtrip(bad, 3)
     assert not rep.passed
     assert "precondition" in rep.note
+
+
+def _x1_cobracket_rank(n, N):
+    """Rank of the form (a, b) -> xi({a, b}) on the monomials of degree
+    <= N in n variables, xi the x1-coordinate functional (the series X1
+    under `pairing`), {,} the family {x_i, x_{i+1}} = x1 (i >= 2)."""
+    X1 = variable(n, 0)
+    B = BracketTable(d=n, f={(i, i + 1): X1 for i in range(1, n - 1)})
+    monos = monomials(n, N)
+    rows = [{j: v for j, b in enumerate(monos)
+             if (v := pairing(X1, bracket_monomials(B, a, b)))}
+            for a in monos]
+    return len(rref(rows, len(monos))[1])
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_non_noetherian_family_cobracket_has_growing_rank(n):
+    """The failure of H° to be co-Poisson without the noetherian condition,
+    shown on the repo's fixture family {x_i, x_{i+1}} = x1 (i >= 2) of
+    test_acceptance_5, with a proof sketch; this is not the paper's own
+    counterexample, which only its full text gives.
+
+    xi = X1 is primitive, so it lies in H°, and its cobracket is
+    delta(xi)(a (x) b) = xi({a, b}).  An element of H° (x) H° is a finite
+    sum of xi' (x) xi'', so if delta(xi) lay there the form
+    (a, b) -> xi({a, b}) would have finite rank.  The family's brackets of
+    generators are linear, so {a, b} is homogeneous of degree
+    |a| + |b| - 1, and xi reads only its x1 term: only pairs of variables
+    contribute.  The form is then the skew adjacency matrix of the path
+    x2 - x3 - ... - xn, of rank 2 floor((n - 1) / 2), which is unbounded
+    over k[x1, x2, ...].  For fixed n the rank does not grow with the
+    degree bound: the noetherian side."""
+    rank = 2 * ((n - 1) // 2)
+    assert _x1_cobracket_rank(n, 2) == rank
+    if n <= 6:
+        assert _x1_cobracket_rank(n, 3) == rank
