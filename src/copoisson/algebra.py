@@ -288,13 +288,11 @@ class _Sparse:
         return self._trusted({k: c * v for k, v in self.terms.items()})
 
     def __truediv__(self, c):
-        if type(c) is int:
-            # Fraction(v, c) reduces once; Fraction(1, c) * v would twice
-            if not c:
-                raise ZeroDivisionError(f"{type(self).__name__} / 0")
-            return self._trusted(
-                {k: Fraction(v, c) for k, v in self.terms.items()})
-        return self.scale(Fraction(1, c))
+        # Fraction(v, c) reduces once; Fraction(1, c) * v would twice
+        if not c:
+            raise ZeroDivisionError(f"{type(self).__name__} / 0")
+        return self._trusted(
+            {k: Fraction(v, c) for k, v in self.terms.items()})
 
     def __rmul__(self, c):
         if isinstance(c, (int, Fraction)):
@@ -393,7 +391,7 @@ class Tensor3(_Sparse):
         return cls({(m1, m2, m3): Fraction(coeff)})
 
     def _sort_key(self, key):
-        return tuple(map(grlex_key, key))
+        return tuple(grlex_key(m) for m in key)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -528,5 +526,5 @@ def format_tensor(t, names=None, den=1):
     """A Tensor2 or Tensor3 divided by den, a positive int, with factors
     joined by "(x)"."""
     def render(key):
-        return "(x)".join([format_monomial(m, names) for m in key])
+        return "(x)".join(format_monomial(m, names) for m in key)
     return _format_terms(t.items_sorted(), render, den)
