@@ -5,9 +5,10 @@ all of A.  Witness enumeration is graded-lex so reports are reproducible;
 witness lists are capped with a total-violation count.
 
 Every check reports through one witness loop, `_check`.  The co-side and
-the bracket side (Jacobi, Hopf compatibility, eps/S) run on the int-valued
-copy from `scaled()`: D q for a QMap q or an I-table (an `ITable` is a
-`QMap`, so both are read through one lookup), D B for a bracket table.
+the bracket side (Jacobi, Hopf compatibility, eps/S) run, through
+`_scaled_check`, on the int-valued copy from `scaled()`: D q for a QMap q
+or an I-table (an `ITable` is a `QMap`, so both are read through one
+lookup), D B for a bracket table.
 A witness is written from its integer residual, each coefficient c as
 c/D^p in lowest terms (p = 2 for Jacobi and co-Jacobi, else 1).  A table
 makes its scaled() pair once and keeps it (a `QMap` is frozen), so the
@@ -43,6 +44,7 @@ from .algebra import (
 from .finite import (
     cocommutator_vec,
     comult3_indexed,
+    format_fin_tensor,
     tensor_concat,
 )
 from .hopf import (
@@ -384,9 +386,7 @@ def check_eps_s_morphisms(B, N, compat=None):
             skipped=True,
             note="not applicable: Hopf compatibility fails at this degree")
 
-    t, D = B.scaled()  # the residual is linear in B: witnesses divide by D
-
-    def residual(ab):
+    def residual(t, ab):
         a, b = ab
         br = bracket_monomials(t, a, b)
         eps = counit(br)
@@ -394,10 +394,11 @@ def check_eps_s_morphisms(B, N, compat=None):
         ba, s = bracket_monomials(t, b, a), antipode(br)
         s_res = s + ba if (a.degree + b.degree) % 2 else s - ba
         return (eps, s_res) if eps or s_res else None
-    return _check("eps-s-morphisms", N, _pairs(B.d, N), residual, _format_pair,
-                  lambda r: "eps residual = "
-                            f"{format_coeff(r[0], D)}; "
-                            f"S residual = {format_poly(r[1], den=D)}")
+    return _scaled_check(
+        "eps-s-morphisms", B, N, residual, domain=_pairs,
+        describe=_format_pair,
+        render=lambda r, den: f"eps residual = {format_coeff(r[0], den)}; "
+                              f"S residual = {format_poly(r[1], den=den)}")
 
 
 def check_antipode_coanti(q, N):
@@ -453,12 +454,4 @@ def check_dual_of_abcd(H, qvals):
                   residual,
                   lambda key: f"basis element {H.basis_names[key[0]]}"
                               + (" (corollary identity)" if key[1] else ""),
-                  lambda t: _format_fin_tensor(H, t))
-
-
-def _format_fin_tensor(H, t):
-    parts = []
-    for key in sorted(t):
-        names = "(x)".join(H.basis_names[i] for i in key)
-        parts.append(f"{format_coeff(t[key])}*{names}")
-    return " + ".join(parts) if parts else "0"
+                  lambda t: format_fin_tensor(H, t, bare_one=False))

@@ -16,7 +16,6 @@ from itertools import combinations
 from .algebra import (
     DegreeBoundError,
     Monomial,
-    format_coeff,
     format_monomial,
     format_poly,
     grlex_key,
@@ -50,6 +49,7 @@ from .fileformat import (
 )
 from .finite import (
     brackets_from_vector,
+    format_fin_tensor,
     qvals_from_vector,
     quadratic_residual_family,
     solve_copoisson_family,
@@ -310,16 +310,6 @@ def cmd_transform(args, out):
 
 # --- classify-h4 command --------------------------------------------------
 
-def _fmt_fin_tensor2(H, t):
-    """{index tuple: coeff} on the basis of H, H(x)H, ... as text."""
-    parts = []
-    for key in sorted(t):
-        c = format_coeff(t[key])
-        body = "(x)".join(H.basis_names[i] for i in key)
-        parts.append(body if c == "1" else f"{c}*{body}")
-    return " + ".join(parts) if parts else "0"
-
-
 def cmd_classify_h4(args, out):
     H = sweedler_h4()
     if args.structure == "poisson":
@@ -330,7 +320,8 @@ def cmd_classify_h4(args, out):
             br = brackets_from_vector(H, vec)
             members.append([
                 f"{{{H.basis_names[i]},{H.basis_names[j]}}} = "
-                + _fmt_fin_tensor2(H, {(k,): v for k, v in val.items()})
+                + format_fin_tensor(H, {(k,): v for k, v in val.items()},
+                                    bare_one=True)
                 for (i, j), val in sorted(br.items())])
     else:
         fam = solve_copoisson_family(H, hopf_compat=args.hopf)
@@ -339,7 +330,7 @@ def cmd_classify_h4(args, out):
         for vec in fam.basis:
             qv = qvals_from_vector(H, vec)
             members.append([f"q({H.basis_names[i]}) = "
-                            + _fmt_fin_tensor2(H, t)
+                            + format_fin_tensor(H, t, bare_one=True)
                             for i, t in qv.items() if t])
     report = ReportDocument(command="classify-h4")
     report.families.append({

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import comb, lcm
 
-from .algebra import axpy, bump
+from .algebra import axpy, bump, format_coeff
 
 
 # --- exact rational linear algebra ---------------------------------------
@@ -220,6 +220,17 @@ def tensor_concat(acc, t1, t2, w):
     for k1, v1 in t1.items():
         for k2, v2 in t2.items():
             bump(acc, k1 + k2, w * v1 * v2)
+
+
+def format_fin_tensor(H, t, *, bare_one):
+    """{index tuple: coeff} on the basis of H, H(x)H, ... as text, each
+    term c*e_i(x)e_j...; with bare_one a coefficient of 1 is left out."""
+    parts = []
+    for key in sorted(t):
+        c = format_coeff(t[key])
+        body = "(x)".join(H.basis_names[i] for i in key)
+        parts.append(body if bare_one and c == "1" else f"{c}*{body}")
+    return " + ".join(parts) if parts else "0"
 
 
 # --- stock examples -------------------------------------------------------

@@ -15,19 +15,21 @@ any unary signs) are read straight into one coefficient and one exponent
 vector; only parenthesized factors are multiplied as polynomials.
 Parentheses and unary signs nest at most MAX_NESTING deep, counted
 together, so that hostile input ends in a ParseError, not a RecursionError.
-A power p^n of a sum of t > 1 terms in d variables is refused before the
-first product when its term bound min(C(t+n-1, n), C(d+n*deg p, d)) is
-past MAX_POWER_TERMS, and so is a product of parenthesized factors when
-min(t1*t2, C(d+deg1+deg2, d)) is.  A number c^n, c not 0, 1 or -1, is
-refused when n times the bit length of c's numerator or denominator is
-past int()'s digit limit on literals, sys.get_int_max_str_digits(), and
-so is a power of a sum of t > 1 terms when n times (the largest such bit
-length among its coefficients, plus t.bit_length()) is.  A product of two
-numbers in a term, or of two parenthesized factors, is refused when
-bits1 + bits2 + log2 min(t1, t2) is past that limit, bits the largest bit
-length among a factor's coefficients and t its number of terms, unless no
-coefficient can grow: one factor has at most one term, and one has only
-coefficients 1 and -1.
+Every product and every power passes through one bound, _Parser.limit.
+It measures each operand, a Fraction or a Poly, by its terms t, its
+degree g and its bits b (the bit length of its longest numerator or
+denominator), and with L int()'s digit limit on literals,
+sys.get_int_max_str_digits(), it refuses
+
+    x * y   when t1, t2 > 1 and min(t1*t2, C(d+g1+g2, d)) > MAX_POWER_TERMS,
+            or when b1 + b2 + ceil(log2 min(t1, t2)) > L, unless one factor
+            has one term and one has only coefficients 1 and -1;
+    x ^ n   of a sum (t > 1) when n >= MAX_POWER_TERMS, when
+            min(C(t+n-1, n), C(d+n*g, d)) > MAX_POWER_TERMS or when
+            n*(b + bit length of t) > L; of one term when b > 1 and n*b > L.
+
+A term bounds its plain coefficient times its parenthesized product at
+each "*" once both exist, so the leftmost refusal is the one reported.
 """
 
 from __future__ import annotations
@@ -45,26 +47,13 @@ MAX_POWER_TERMS = 128  # (x1 + 7654321/1234567)^127 parses in about 0.2 s
 _ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
 
 
-def _bits(c):
-    """The bit length of c's numerator or denominator, the longer one."""
-    return max(c.numerator.bit_length(), c.denominator.bit_length())
-
-
-def _product_past_limit(b1, b2, t):
-    """Whether a product of two factors, whose coefficients have at most b1
-    and b2 bits and the smaller of which has t terms, may have a
-    coefficient past the digit limit: each is a sum of at most t products,
-    so it has at most b1 + b2 + log2 t bits.  With t <= 1 and a bound <= 1
-    (coefficients 1 and -1 only), the product copies the other factor's
-    coefficients, and passes."""
-    limit = sys.get_int_max_str_digits()  # 0 when there is none
-    return ((t > 1 or min(b1, b2) > 1) and bool(limit)
-            and b1 + b2 + (t - 1).bit_length() > limit)
-
-
-def _past_limit_error(what, col):
-    return ParseError(
-        f"{what} past the {sys.get_int_max_str_digits()}-digit limit", col)
+def _size(v):
+    """A Fraction's or a Poly's size estimate (terms, degree, bits)."""
+    if type(v) is Fraction:
+        return 1, 0, max(v.numerator.bit_length(), v.denominator.bit_length())
+    return len(v.terms), v.degree(), max(
+        (max(c.numerator.bit_length(), c.denominator.bit_length())
+         for c in v.terms.values()), default=0)
 
 
 class ParseError(ValueError):
@@ -131,18 +120,12 @@ class _Parser:
         self.next = None
         return tok
 
-    def expect(self, kind):
-        tok = self.advance()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}", tok[2])
-        return tok
-
-    def parse(self):
-        p = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
-        return p
+    def nest(self, col):
+        """Open one more level of parentheses or unary signs, at col."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(
+                f"expression nested deeper than {MAX_NESTING}", col)
 
     def expr(self):
         acc = {}
@@ -154,31 +137,26 @@ class _Parser:
     def term(self, acc, sign):
         """acc += sign * (the next term), in place.  Plain factors multiply
         into one coefficient and one exponent vector; only the Poly
-        factors of parentheses are multiplied as polynomials."""
-        coeff, exps, poly = sign, [0] * self.d, None
+        factors of parentheses are multiplied as polynomials.  The first
+        factor multiplies only sign, which no bound refuses, so it needs
+        no column."""
+        coeff, exps, poly, col = sign, [0] * self.d, None, None
         while True:
             f = self.factor()
             if type(f) is Poly:
                 if poly is not None:
-                    if MAX_POWER_TERMS < min(
-                            len(poly.terms) * len(f.terms),
-                            comb(self.d + poly.degree() + f.degree(), self.d)):
-                        raise ParseError(f"product may have more than "
-                                         f"{MAX_POWER_TERMS} terms", col)
-                    if _product_past_limit(
-                            max(map(_bits, poly.terms.values()), default=0),
-                            max(map(_bits, f.terms.values()), default=0),
-                            min(len(poly.terms), len(f.terms))):
-                        raise _past_limit_error("product", col)
-                poly = f if poly is None else poly * f
+                    self.limit(col, poly, f)
+                    f = poly * f
+                poly = f
             else:
                 c, i, n = f
                 if c is not None:
-                    if _product_past_limit(_bits(coeff), _bits(c), 1):
-                        raise _past_limit_error("product", col)
+                    self.limit(col, coeff, c)
                     coeff *= c
                 if i is not None:
                     exps[i] += n
+            if poly is not None:
+                self.limit(col, coeff, poly)
             if self.peek()[0] != "*":
                 break
             col = self.advance()[2]
@@ -197,10 +175,7 @@ class _Parser:
         signs = []
         while self.peek()[0] in ("+", "-"):
             kind, _, col = self.advance()
-            self.depth += 1
-            if self.depth > MAX_NESTING:
-                raise ParseError(
-                    f"expression nested deeper than {MAX_NESTING}", col)
+            self.nest(col)
             signs.append(kind)
         f = self.power(self.atom())
         for kind in reversed(signs):
@@ -216,7 +191,7 @@ class _Parser:
 
     def power(self, f):
         """f ^ n when a power follows: a plain factor's coefficient and
-        exponent are raised directly, a Poly by repeated squaring."""
+        exponent are raised directly, a Poly by square and multiply."""
         if self.peek()[0] != "^":
             return f
         caret = self.advance()
@@ -225,30 +200,44 @@ class _Parser:
             raise ParseError("exponent must be a non-negative integer",
                              tok[2] if tok[0] != "end" else caret[2])
         n = int(tok[1])
-        # the coefficients of f: a plain factor's one, None standing for 1
-        cs = f.terms.values() if type(f) is Poly else (f[0] or _ONE,)
-        t = len(cs)  # f^n of a sum has n + 1 terms or more: no comb
-        if t > 1 and (n >= MAX_POWER_TERMS or MAX_POWER_TERMS < min(
-                comb(t + n - 1, n), comb(self.d + n * f.degree(), self.d))):
-            raise ParseError(f"power of a sum may have more than "
-                             f"{MAX_POWER_TERMS} terms", tok[2])
-        bits = max(map(_bits, cs), default=0) + (t.bit_length() if t > 1 else 0)
-        limit = sys.get_int_max_str_digits()  # 0 when there is none
-        if limit and bits > 1 and n * bits > limit:  # bits <= 1: 0, 1, -1
-            raise _past_limit_error(
-                f"power of a {'sum' if t > 1 else 'number'}", tok[2])
+        self.limit(tok[2], f if type(f) is Poly else f[0] or _ONE, n=n)
         if type(f) is not Poly:
             c, i, e = f
-            return (c ** n if c is not None else None, i, e * n)
-        # repeated squaring: O(log n) products
+            return (c if c is None else c ** n, i, e * n)
         out = Poly.constant(self.d, 1)
-        while n:
-            if n & 1:
+        for bit in bin(n)[2:]:  # square and multiply: O(log n) products
+            out = out * out
+            if bit == "1":
                 out = out * f
-            n >>= 1
-            if n:
-                f = f * f
         return out
+
+    def limit(self, col, x, y=None, n=0):
+        """Refuse x * y, or x ^ n when y is None, with a ParseError at col
+        when the result may have more than MAX_POWER_TERMS terms or a
+        coefficient past the digit limit (the bounds of the module
+        docstring).  x and y are Fractions or Polys."""
+        t, g, b = _size(x)
+        if t <= 1 and b <= 1:
+            return  # x is 0, 1, -1 or +-(a monomial): y need not be measured
+        u, h, c = (t, g, b) if y is None else _size(y)
+        if min(t, u) <= 1 and min(b, c) <= 1:
+            return  # one factor has one term, one only coefficients +-1
+        if y is None:
+            what = f"power of a {'sum' if t > 1 else 'number'}"
+            many = t > 1 and (n >= MAX_POWER_TERMS or MAX_POWER_TERMS < min(
+                comb(t + n - 1, n), comb(self.d + n * g, self.d)))
+            bits = n * (b + (t.bit_length() if t > 1 else 0))
+        else:
+            what = "product"
+            many = min(t, u) > 1 and MAX_POWER_TERMS < min(
+                t * u, comb(self.d + g + h, self.d))
+            bits = b + c + (min(t, u) - 1).bit_length()
+        if many:
+            raise ParseError(
+                f"{what} may have more than {MAX_POWER_TERMS} terms", col)
+        digits = sys.get_int_max_str_digits()  # 0 when there is none
+        if digits and bits > digits:
+            raise ParseError(f"{what} past the {digits}-digit limit", col)
 
     def atom(self):
         kind, value, col = self.advance()
@@ -259,12 +248,11 @@ class _Parser:
                 raise ParseError(f"unknown identifier {value!r}", col)
             return (None, self.index[value], 1)
         if kind == "(":
-            self.depth += 1
-            if self.depth > MAX_NESTING:
-                raise ParseError(
-                    f"expression nested deeper than {MAX_NESTING}", col)
+            self.nest(col)
             p = self.expr()
-            self.expect(")")
+            tok = self.advance()
+            if tok[0] != ")":
+                raise ParseError("expected ')'", tok[2])
             self.depth -= 1
             return p
         if kind == "end":
@@ -276,4 +264,9 @@ def parse_poly(src, variables):
     """Parse `src` into a Poly over the given ordered variable names."""
     if not isinstance(src, str):
         raise ParseError(f"expected text, got {type(src).__name__}", 1)
-    return _Parser(src, variables).parse()
+    parser = _Parser(src, variables)
+    p = parser.expr()
+    tok = parser.peek()
+    if tok[0] != "end":
+        raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
+    return p

@@ -243,6 +243,23 @@ def test_number_power_and_product_past_the_limits_exit_3(tmp_path, capsys,
     assert message in err and err.count("\n") == 1
 
 
+def test_coefficient_times_parenthesized_product_exits_3(tmp_path, capsys):
+    # the product of a term's number part and its parenthesized product
+    # was unbounded: check passed and transform --to p wrote a pmap that
+    # transform --to j then refused ("integer literal too long")
+    p = tmp_path / "product.json"
+    p.write_text(dump_json({
+        "kind": "poisson", "variables": ["x1", "x2", "x3"], "max_degree": 2,
+        "payload": {"brackets": {"1,2": "7" * 3000 + "*(" + "3" * 3000
+                                        + "*x3 + 1)"},
+                    "mode": "polynomial"}}))
+    for args in (["check", str(p)], ["transform", str(p), "--to", "p"]):
+        code, text, err = run_stderr(args, capsys)
+        assert (code, text) == (3, "")
+        assert "product past the 4300-digit limit at column 3001" in err
+        assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("text, message", [
     (dump_json({"kind": "poisson", "variables": ["x1", "x2"], "max_degree": 2,
                 "payload": {"brackets": {"1,2": "x1^" + "9" * 5000},

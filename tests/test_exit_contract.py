@@ -2,8 +2,9 @@
 
 Every fixture has each value below its root replaced, one at a time, by a
 value of a wrong JSON type, and a key of each of its objects written
-twice; deeply nested JSON is read as well.  On
-each, `main` must return (nothing escapes it), the code must be one that
+twice; deeply nested JSON is read as well, and small generated documents
+of all six kinds, valid or with one hostile edit each.  On each, `main`
+must return (nothing escapes it), the code must be one that
 README.md documents other than 4, "internal error", and 1, "a check
 failed", must come only with a report that holds a failed check.
 """
@@ -20,7 +21,8 @@ from hypothesis import given, settings, strategies as st
 
 import copoisson.cli as cli
 from copoisson.cli import main
-from copoisson.fileformat import load_spec
+from copoisson.fileformat import StructureSpec, load_spec, spec_to_dict
+from copoisson.finite import group_algebra_z2, sweedler_h4
 from copoisson.parser import parse_poly
 
 from conftest import FIXTURES
@@ -259,3 +261,157 @@ def test_a_product_past_the_digit_limit_exits_3_at_once(scratch, capsys,
                 out=io.StringIO()) == 3
     assert time.perf_counter() - start < 1
     assert "product past the 4300-digit limit" in capsys.readouterr().err
+
+
+# --- generated documents of every kind, valid or with one hostile edit -------
+
+# no large integer: a max_degree of 5 is valid, and slow to check
+WRONG = (2.5, None, True, -1, [], {}, "x", [["x"]])
+FINHOPF = [spec_to_dict(StructureSpec("finhopf", [], 0, H))
+           for H in (group_algebra_z2(), sweedler_h4())]
+
+
+@st.composite
+def monomial_texts(draw, d, top):
+    """A monomial of degree <= top in x1..xd, as text."""
+    exps, left = [], top
+    for _ in range(d):
+        exps.append(draw(st.integers(0, left)))
+        left -= exps[-1]
+    return "*".join(f"x{i + 1}" + (f"^{e}" if e > 1 else "")
+                    for i, e in enumerate(exps) if e) or "1"
+
+
+rationals = st.builds(lambda p, q: str(p) if q == 1 else f"{p}/{q}",
+                      st.integers(-9, 9), st.integers(1, 4))
+
+
+def poly_texts(d):
+    return st.lists(st.tuples(rationals, monomial_texts(d, 2)),
+                    min_size=1, max_size=3).map(
+        lambda terms: " + ".join(f"{c}*{m}" for c, m in terms))
+
+
+@st.composite
+def spec_docs(draw, kind):
+    """A small spec document of `kind`, with max_degree <= 2."""
+    if kind == "finhopf":
+        return draw(st.sampled_from(FINHOPF))
+    d, top = draw(st.integers(2, 3)), draw(st.integers(0, 2))
+    pairs = [(i, j) for i in range(1, d + 1) for j in range(i + 1, d + 1)]
+    rows = st.lists(monomial_texts(d, top), min_size=1, max_size=3,
+                    unique=True)
+    if kind == "poisson":
+        chosen = draw(st.lists(st.sampled_from(pairs), unique=True))
+        payload = {"brackets": {f"{i},{j}": draw(poly_texts(d))
+                                for i, j in chosen},
+                   "mode": draw(st.sampled_from(["polynomial", "series"]))}
+    elif kind == "copoisson":
+        payload = {"rows": [
+            {"monomial": m, "lambda": [
+                [i, j, draw(rationals)] for i, j in draw(st.lists(
+                    st.sampled_from(pairs), min_size=1, unique=True))]}
+            for m in draw(rows)]}
+    elif kind == "struct_consts":
+        triples = draw(st.lists(st.tuples(st.sampled_from(pairs),
+                                          st.integers(1, d)), unique=True))
+        payload = {"lambda": [[i, j, l, draw(rationals)]
+                              for (i, j), l in triples]}
+    elif kind == "qmap":
+        payload = {"rows": [
+            {"monomial": m, "tensor": [
+                [u, v, draw(rationals)] for u, v in draw(st.lists(
+                    st.tuples(monomial_texts(d, 2), monomial_texts(d, 2)),
+                    max_size=3, unique=True))]}
+            for m in draw(rows)]}
+    else:
+        payload = {"rows": [
+            {"pair": [u, v], "value": draw(poly_texts(d))}
+            for u, v in draw(st.lists(st.tuples(monomial_texts(d, top),
+                                                monomial_texts(d, top)),
+                                      max_size=3, unique=True))]}
+    return {"kind": kind, "variables": [f"x{i}" for i in range(1, d + 1)],
+            "max_degree": top, "payload": payload}
+
+
+HOSTILE_TEXT = {
+    "literal": st.builds(lambda n, tail: "9" * n + tail,
+                         st.sampled_from([4299, 4300, 4301]),
+                         st.sampled_from(["", "*x1", "/7"])),
+    "product": st.sampled_from(
+        ["*".join(["2^2000"] * k) for k in (2, 3, 400)]
+        + ["*".join(["(2^2000*x1 + 2^2000)"] * k) for k in (2, 3, 127)]
+        + ["7" * 3000 + "*(" + "3" * 3000 + "*x1 + 1)",
+           "7" * 1300 + "*(x1 - x2)"]),
+    "nesting": st.builds(lambda n, deep: deep(n),
+                         st.sampled_from([99, 100, 101, 5000]),
+                         st.sampled_from([lambda n: "(" * n + "x1" + ")" * n,
+                                          lambda n: "-" * n + "x1"])),
+}
+
+
+def out_of_range(draw, doc):
+    """doc with one index past its range: a lambda index, a bracket key, a
+    finhopf dim, or a variable past x_d in a row's monomial."""
+    kind, payload = doc["kind"], doc["payload"]
+    d = len(doc["variables"])
+    bad = draw(st.sampled_from([0, d + 1, 10 ** 6]))
+    if kind == "finhopf":
+        return replaced(doc, ("payload", "dim"), payload["dim"] + 1)
+    if kind == "poisson":
+        return replaced(doc, ("payload", "brackets"),
+                        {**payload["brackets"], f"1,{bad}": "x1"})
+    if kind == "struct_consts":
+        entry = [1, 2, 1, "1"]
+        entry[draw(st.integers(0, 2))] = bad
+        return replaced(doc, ("payload", "lambda"), [entry, *payload["lambda"]])
+    if kind == "copoisson":
+        return replaced(doc, ("payload", "rows", 0, "lambda", 0,
+                              draw(st.integers(0, 1))), bad)
+    past = f"x{d + 1}"
+    row = ({"monomial": past, "tensor": [["x1", "x2", "1"]]} if kind == "qmap"
+           else {"pair": ["x1", past], "value": "x1"})
+    return replaced(doc, ("payload", "rows"), [*payload["rows"], row])
+
+
+def hostile(draw, doc, edit):
+    """The bytes of doc as a file, with one hostile edit."""
+    leaves = [p for p in value_paths(doc)
+              if isinstance(value_at(doc, p), str)]
+    if edit in HOSTILE_TEXT:
+        doc = replaced(doc, draw(st.sampled_from(leaves)),
+                       draw(HOSTILE_TEXT[edit]))
+    elif edit == "wrong-type":
+        doc = replaced(doc, draw(st.sampled_from(list(value_paths(doc)))),
+                       draw(st.sampled_from(WRONG)))
+    elif edit == "index":
+        doc = out_of_range(draw, doc)
+    elif edit == "repeated-key":
+        objects = [p for p in [(), *value_paths(doc)]
+                   if isinstance(value_at(doc, p), dict) and value_at(doc, p)]
+        return with_repeated_key(doc, draw(st.sampled_from(objects))).encode()
+    elif edit == "not-utf8":
+        marker = "not-utf8 marker"
+        text = json.dumps(replaced(doc, draw(st.sampled_from(leaves)),
+                                   marker)).encode()
+        return text.replace(marker.encode(),
+                            draw(st.sampled_from([b"\xff", b"x\xc3(", b"\x80"])))
+    return json.dumps(doc).encode()
+
+
+EDITS = ("none", *HOSTILE_TEXT, "wrong-type", "index", "repeated-key",
+         "not-utf8")
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(["poisson", "copoisson", "struct_consts", "finhopf",
+                        "qmap", "pmap"]), st.sampled_from(EDITS), st.data())
+def test_generated_documents_keep_the_exit_contract(scratch, kind, edit,
+                                                    data):
+    # valid documents of every kind, and each with one hostile edit: the
+    # code is documented and never 4, and 1 comes only with a failed check
+    doc = data.draw(spec_docs(kind))
+    scratch.write_bytes(hostile(data.draw, doc, edit))
+    code = assert_contract(scratch)
+    if edit in ("index", "repeated-key", "not-utf8"):
+        assert code == 3

@@ -217,6 +217,45 @@ def test_product_coefficient_limit():
     assert len(parse_poly(f"(x1 + x2)*({big})", VARS2).terms) == 2
 
 
+def test_coefficient_times_parenthesized_product_is_bounded():
+    # a term's number part times its parenthesized product used to be
+    # multiplied unchecked, so a 6 KB bracket parsed into a coefficient
+    # of 6000 digits that a written file could not be read back from
+    sevens, threes = "7" * 3000, "3" * 3000
+    text = f"{sevens}*({threes}*x3 + 1)"
+    with pytest.raises(ParseError, match="product past the "
+                                         "4300-digit limit") as exc:
+        parse_poly(text, VARS3)
+    assert exc.value.column == 3001  # at the "*" where both parts exist
+    # refused there, before a later syntax error is read
+    with pytest.raises(ParseError, match="product past the ") as exc:
+        parse_poly(f"{sevens}*({threes}*x1 + 1)*(x1 @", VARS3)
+    assert exc.value.column == 3001
+    # checked at every "*" once both exist: 2001 + 2001 bits pass at the
+    # first, 4001 + 2001 do not at the second
+    text = "2^2000*(2^2000*x1 + 1)*2^2000"
+    with pytest.raises(ParseError, match="product past the ") as exc:
+        parse_poly(text, VARS3)
+    assert exc.value.column == text.rindex("*") + 1
+    # a factor with coefficients 1 and -1 only grows no coefficient
+    assert parse_poly(f"{'7' * 1300}*(x1 + x2)", VARS3) == Poly({
+        Monomial((1, 0, 0)): Fraction(int("7" * 1300)),
+        Monomial((0, 1, 0)): Fraction(int("7" * 1300))})
+
+
+def test_a_one_term_factor_adds_no_terms():
+    # (x1)*(a sum of 200 terms) was refused as a product that may have
+    # more than MAX_POWER_TERMS terms, though x1*(...) and 2*(...) were not
+    names = [f"x{i}" for i in range(1, 201)]
+    wide = "(" + " + ".join(names) + ")"
+    for one in ("(x1)", "(-3*x2^2)", "(0)"):
+        assert parse_poly(f"{one}*{wide}", names) == parse_poly(
+            f"{one[1:-1]}*{wide}", names)
+    assert len(parse_poly(f"(x1)*{wide}", names).terms) == 200
+    with pytest.raises(ParseError, match="product may have more than"):
+        parse_poly(f"(x1 + x2)*{wide}", names)
+
+
 def test_non_text_is_a_parse_error():
     for value in [5, 2.5, None, True, [], {}, [["x1"]]]:
         with pytest.raises(ParseError, match="expected text, got"):

@@ -7,8 +7,8 @@ library.  On valid text both must give the same terms with the same value
 types; on malformed text, the same ParseError message and column.  The
 reference applies the documented limits on powers of sums, on products of
 parenthesized factors, on powers of numbers and on the coefficients of
-products by counting, not through the library's binomials and bit
-lengths.
+products (a term's plain product times its parenthesized product among
+them) by counting, not through the library's binomials and bit lengths.
 """
 
 import sys
@@ -47,8 +47,11 @@ def monomial_count(d, top):
 
 def past_product_limit(p, f, d):
     """The documented limit on a product of parenthesized factors: refused
-    when both the pairs of their terms and the monomials of degree <= the
-    sum of their degrees outnumber MAX_POWER_TERMS."""
+    when each factor has more than one term (a factor of one term adds
+    none) and both the pairs of their terms and the monomials of degree <=
+    the sum of their degrees outnumber MAX_POWER_TERMS."""
+    if len(p.terms) <= 1 or len(f.terms) <= 1:
+        return False
     pairs = sum(1 for _ in product(p.terms, f.terms))
     top = p.degree() + f.degree()
     return min(pairs, monomial_count(d, top)) > MAX_POWER_TERMS
@@ -76,11 +79,13 @@ def past_sum_digit_limit(p, n):
 
 
 def past_product_digit_limit(p, f):
-    """The documented limit on the coefficients of a product of two factors:
-    the most binary digits of a numerator or denominator of each, summed,
-    plus log2 of the fewer terms rounded up, past int()'s digit limit on
-    literals; unless one factor has at most one term and one has only
-    coefficients 1 and -1, so that no coefficient grows."""
+    """The documented limit on the coefficients of a product of two factors
+    (two plain ones, two parenthesized ones, or a term's plain product and
+    its parenthesized product): the most binary digits of a numerator or
+    denominator of each, summed, plus log2 of the fewer terms rounded up,
+    past int()'s digit limit on literals; unless one factor has at most one
+    term and one has only coefficients 1 and -1, so that no coefficient
+    grows."""
     if min(len(p.terms), len(f.terms)) <= 1 and any(
             all(abs(c) == 1 for c in g.terms.values()) for g in (p, f)):
         return False
@@ -170,6 +175,13 @@ class ReferenceParser:
                                      f"{sys.get_int_max_str_digits()}-digit "
                                      f"limit", col)
                 plain = f if plain is None else plain * f
+            # the plain product times the parenthesized one, at each "*"
+            # once both exist
+            if (grouped is not None and plain is not None
+                    and past_product_digit_limit(plain, grouped)):
+                raise ParseError(f"product past the "
+                                 f"{sys.get_int_max_str_digits()}-digit "
+                                 f"limit", col)
             p = p * f
         return p
 
@@ -369,6 +381,18 @@ EDGE = [
     "9" * 2500 + "*x2", "-" + "9" * 2500 + "*-1*x1*0", "3*" + "9" * 2500,
     "(" + "9" * 2500 + "*x1)*(x1 - x2 + x3)", "(x1 + x2)*(" + "9" * 2500 + ")",
     "(x1 - x1)*(" + "9" * 2500 + "*x1 + 3)", "(2*x1)*(" + "9" * 2500 + ")",
+    # a term's plain product times its parenthesized product, checked at
+    # each "*" once both exist
+    "7" * 3000 + "*(" + "3" * 3000 + "*x3 + 1)",
+    "7" * 3000 + "*(" + "3" * 3000 + "*x1 + 1)*(x1 @",
+    "2^2000*(2^2000*x1 + 1)", "2^2000*(2^2000*x1 + 1)*2^2000",
+    "(2^2000*x1 + 1)*2^2000*x2*2^2000", "2^2150*(2^2148*x1 - 1)",
+    "2^2150*(2^2149*x1 - 1)", "2^2000*(2^2000*x1 + 1)*(2^300*x2 + 1)",
+    "x1*2^2000*(x2 + x3)*(x1 - x3)*" + "7" * 1300,
+    "0*(" + "9" * 2500 + "*x1 + 3)*" + "9" * 2500,
+    # a factor of one term adds no terms
+    "(x1)*" + " + ".join(f"x1^{k}" for k in range(200)).join("()"),
+    "(x1 + x2)*" + " + ".join(f"x1^{k}" for k in range(200)).join("()"),
 ]
 
 
