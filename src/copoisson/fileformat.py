@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -24,12 +25,10 @@ from .algebra import (
 )
 from .finite import FinHopf
 from .hopf import PMap, QMap
-from .parser import ParseError, parse_poly
+from .parser import ParseError, parse_poly, quoted
 from .structures import BracketTable, ITable, SkewMatrix, StructConsts
 
 TOOL_VERSION = "0.1.0"
-
-KINDS = ("poisson", "copoisson", "struct_consts", "finhopf", "qmap", "pmap")
 
 
 class SpecFormatError(ValueError):
@@ -43,15 +42,23 @@ _RATIONAL_RE = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
 
 def parse_rational(s, where=""):
     if not isinstance(s, str):
-        raise SpecFormatError(
-            f"rational values must be strings like \"p/q\"{where}, got {s!r}")
+        raise SpecFormatError(f"rational values must be strings like "
+                              f"\"p/q\"{where}, got {quoted(s)}")
     m = _RATIONAL_RE.fullmatch(s)
     try:
         if m:
             return Fraction(int(m[1]), int(m[2] or 1))
     except (ValueError, ZeroDivisionError):  # past int()'s digit limit, or /0
         pass
-    raise SpecFormatError(f"malformed rational {s!r}{where}")
+    raise SpecFormatError(f"malformed rational {quoted(s)}{where}")
+
+
+def _poly(src, variables, what, where=""):
+    """parse_poly, its ParseError a SpecFormatError naming what was read."""
+    try:
+        return parse_poly(src, variables)
+    except ParseError as e:
+        raise SpecFormatError(f"{what}{where}: {e}") from None
 
 
 # a factor as format_monomial writes it: name or name^k; a longer exponent
@@ -66,10 +73,11 @@ def parse_monomial(s, variables, where=""):
 
 
 def _monomial_reader(variables):
-    """parse_monomial on one variable list, its name index built once."""
+    """parse_monomial with its name index built once and a degree bound."""
     index = {name: i for i, name in enumerate(variables)}
 
-    def read(s, where=""):
+    def read(s, where="", bound=None):
+        m = None
         if isinstance(s, str):
             exps = [0] * len(variables)
             for f in map(_FACTOR_RE.fullmatch, s.split("*")):
@@ -77,16 +85,18 @@ def _monomial_reader(variables):
                     break
                 exps[index[f[1]]] += int(f[2] or 1)
             else:
-                return Monomial(exps)
-        try:
-            p = parse_poly(s, variables)
-        except ParseError as e:
-            raise SpecFormatError(f"bad monomial {s!r}{where}: {e}") from None
-        items = list(p.terms.items())
-        if len(items) != 1 or items[0][1] != 1:
-            raise SpecFormatError(f"expected a single monomial with "
-                                  f"coefficient 1{where}, got {s!r}")
-        return items[0][0]
+                m = Monomial(exps)
+        if m is None:
+            items = list(_poly(s, variables, f"bad monomial {quoted(s)}",
+                               where).terms.items())
+            _require(len(items) == 1 and items[0][1] == 1,
+                     f"expected a single monomial with coefficient 1{where}, "
+                     f"got {quoted(s)}")
+            m = items[0][0]
+        if bound is not None and m.degree > bound:
+            raise SpecFormatError(
+                f"row monomial {quoted(s)} exceeds max_degree {bound}{where}")
+        return m
     return read
 
 
@@ -121,200 +131,169 @@ def _decode_poisson(variables, max_degree, payload):
              "poisson payload needs a \"brackets\" object")
     mode = payload.get("mode", "polynomial")
     _require(mode in ("polynomial", "series"),
-             f"poisson mode must be polynomial or series, got {mode!r}")
+             f"poisson mode must be polynomial or series, got {quoted(mode)}")
     d = len(variables)
     f = {}
-    seen = set()
     for key, src in sorted(payload["brackets"].items()):
         m = _BRACKET_KEY_RE.fullmatch(key)
-        _require(m, f"bracket key {key!r} must be \"i,j\"")
+        _require(m, f"bracket key {quoted(key)} must be \"i,j\"")
         i, j = int(m[1]), int(m[2])
-        _require(1 <= i < j <= d, f"bracket key {key!r}: need 1 <= i < j <= {d}")
-        _require((i, j) not in seen, f"duplicate bracket ({i},{j}) at {key!r}")
-        seen.add((i, j))
-        try:
-            p = parse_poly(src, variables)
-        except ParseError as e:
-            raise SpecFormatError(f"bracket {key!r}: {e}") from None
-        if p:
-            f[(i - 1, j - 1)] = p
+        _require(1 <= i < j <= d,
+                 f"bracket key {quoted(key)}: need 1 <= i < j <= {d}")
+        _require((i - 1, j - 1) not in f,
+                 f"duplicate bracket ({i},{j}) at {quoted(key)}")
+        f[(i - 1, j - 1)] = _poly(src, variables, f"bracket {quoted(key)}")
     trunc = max_degree if mode == "series" else None
-    return BracketTable(d=d, f=f, truncation_degree=trunc)
+    return BracketTable(d=d, f={ij: p for ij, p in f.items() if p},
+                        truncation_degree=trunc)
+
+
+def _read_rows(kind, payload, max_degree, key_field, read_key, value_field,
+               read_value):
+    """{key: value} of the payload's "rows", zero values left out: each row
+    has a key_field, read and bounded by read_key(text, where, max_degree)
+    and repeated by no other row, and a value_field, read by read_value."""
+    rows = payload.get("rows")
+    _require(isinstance(rows, list), f"{kind} payload needs a \"rows\" list")
+    out = {}
+    for n, row in enumerate(rows):
+        where = f" (row {n + 1})"
+        if not (isinstance(row, dict) and key_field in row
+                and value_field in row):
+            raise SpecFormatError(
+                f"each row needs \"{key_field}\" and \"{value_field}\"{where}")
+        key = read_key(row[key_field], where, max_degree)
+        if key in out:
+            raise SpecFormatError(
+                f"duplicate {key_field} {quoted(row[key_field])}{where}")
+        out[key] = read_value(row[value_field], where)
+    return {key: value for key, value in out.items() if value}
+
+
+def _read_lambda(items, d, width, what, where=""):
+    """{(i - 1, j - 1, ...): rational} from a "lambda" list of [i, j, ...,
+    rational] items: `width` JSON integer indices in 1..d, i < j, once."""
+    _require(isinstance(items, list), f"{what} needs a \"lambda\" list{where}")
+    lam = {}
+    for n, ent in enumerate(items):  # each message is built on refusal
+        at = f"{where} (entry {n + 1})"
+        if not (isinstance(ent, list) and len(ent) == width + 1):
+            raise SpecFormatError("lambda entries must be [i, j, "
+                                  + "l, " * (width - 2) + f"rational]{at}")
+        idx = ent[:width]
+        if not all(map(_is_int, idx)):
+            raise SpecFormatError(f"lambda indices must be integers{at}")
+        if not idx[0] < idx[1]:
+            raise SpecFormatError(f"entries must have i<j{at}")
+        if not 1 <= min(idx) <= max(idx) <= d:
+            raise SpecFormatError(f"lambda indices out of range 1..{d}{at}")
+        key = tuple(i - 1 for i in idx)
+        if key in lam:
+            raise SpecFormatError(
+                f"duplicate lambda entry ({','.join(map(str, idx))}){at}")
+        lam[key] = parse_rational(ent[width], at)
+    return lam
 
 
 def _decode_copoisson(variables, max_degree, payload):
-    _require(isinstance(payload.get("rows"), list),
-             "copoisson payload needs a \"rows\" list")
     d = len(variables)
-    monomial = _monomial_reader(variables)
-    rows = {}
-    seen = set()
-    for idx, row in enumerate(payload["rows"]):
-        where = f" (row {idx + 1})"
-        _require(isinstance(row, dict) and "monomial" in row
-                 and isinstance(row.get("lambda"), list),
-                 f"each row needs \"monomial\" and a \"lambda\" list{where}")
-        m = monomial(row["monomial"], where)
-        _require(m.degree <= max_degree,
-                 f"row monomial {row['monomial']!r} exceeds max_degree{where}")
-        _require(m not in seen, f"duplicate row for {row['monomial']!r}{where}")
-        seen.add(m)
-        upper = {}
-        for ent in row["lambda"]:
-            _require(isinstance(ent, list) and len(ent) == 3,
-                     f"lambda entries must be [i, j, rational]{where}")
-            i, j, val = ent
-            _require(_is_int(i) and _is_int(j) and i < j,
-                     f"entries must have i<j{where}")
-            _require(1 <= i and j <= d,
-                     f"lambda indices out of range 1..{d}{where}")
-            _require((i - 1, j - 1) not in upper,
-                     f"duplicate lambda entry ({i},{j}){where}")
-            upper[(i - 1, j - 1)] = parse_rational(val, where)
-        mat = SkewMatrix.from_upper(d, upper)
-        if not mat.is_zero():
-            rows[m] = mat
+    rows = _read_rows("copoisson", payload, max_degree, "monomial",
+                      _monomial_reader(variables), "lambda",
+                      lambda lam, where: SkewMatrix.from_upper(
+                          d, _read_lambda(lam, d, 2, "each row", where)))
     return ITable(d=d, domain_degree_bound=max_degree, rows=rows)
 
 
 def _decode_struct_consts(variables, max_degree, payload):
-    _require(isinstance(payload.get("lambda"), list),
-             "struct_consts payload needs a \"lambda\" list")
     d = len(variables)
-    lam = {}
-    for idx, ent in enumerate(payload["lambda"]):
-        where = f" (entry {idx + 1})"
-        _require(isinstance(ent, list) and len(ent) == 4,
-                 f"lambda entries must be [i, j, l, rational]{where}")
-        i, j, l, val = ent
-        _require(all(_is_int(v) for v in (i, j, l)),
-                 f"lambda indices must be integers{where}")
-        _require(i < j, f"entries must have i<j{where}")
-        _require(1 <= i and j <= d and 1 <= l <= d,
-                 f"lambda indices out of range 1..{d}{where}")
-        key = (i - 1, j - 1, l - 1)
-        _require(key not in lam, f"duplicate lambda entry ({i},{j},{l}){where}")
-        lam[key] = parse_rational(val, where)
-    return StructConsts(d=d, lam=lam)
+    return StructConsts(d=d, lam=_read_lambda(payload.get("lambda"), d, 3,
+                                              "struct_consts payload"))
 
 
-def _decode_finhopf(payload):
-    for key in ("dim", "basis", "mult", "unit", "comult", "counit", "antipode"):
-        _require(key in payload, f"finhopf payload needs \"{key}\"")
-    n = payload["dim"]
+# each table of a finite Hopf algebra with its number of indices
+_FINHOPF_TABLES = (("mult", 3), ("unit", 1), ("comult", 3), ("counit", 1),
+                   ("antipode", 2))
+
+
+def _decode_finhopf(variables, max_degree, payload):
+    n = payload.get("dim")
     _require(_is_int(n) and n >= 1, "finhopf dim must be a positive integer")
-    basis = payload["basis"]
+    basis = payload.get("basis")
     _require(isinstance(basis, list) and len(basis) == n
              and all(isinstance(b, str) for b in basis) and len(set(basis)) == n,
              "finhopf basis must list dim distinct names")
 
-    def vec(data, what):
+    def table(data, what, depth):
+        """An n x ... x n array of rationals, depth deep, as tuples."""
         _require(isinstance(data, list) and len(data) == n,
-                 f"finhopf {what} must be a length-{n} array")
-        return tuple(parse_rational(v, f" ({what})") for v in data)
-
-    def mat(data, what):
-        _require(isinstance(data, list) and len(data) == n,
-                 f"finhopf {what} must be {n} rows")
-        return tuple(vec(row, what) for row in data)
-
-    def tens(data, what):
-        _require(isinstance(data, list) and len(data) == n,
-                 f"finhopf {what} must be {n} planes")
-        return tuple(mat(plane, what) for plane in data)
+                 f"finhopf {what} must be an array of shape "
+                 f"{' x '.join([str(n)] * depth)}")
+        return tuple(table(v, what, depth - 1) if depth > 1
+                     else parse_rational(v, f" ({what})") for v in data)
 
     try:
         return FinHopf.create(
             dim=n, basis_names=basis,
-            mult=tens(payload["mult"], "mult"),
-            unit=vec(payload["unit"], "unit"),
-            comult=tens(payload["comult"], "comult"),
-            counit=vec(payload["counit"], "counit"),
-            antipode=mat(payload["antipode"], "antipode"))
+            **{what: table(payload.get(what), what, depth)
+               for what, depth in _FINHOPF_TABLES})
     except ValueError as e:
         raise SpecFormatError(f"finhopf data rejected: {e}") from None
 
 
 def _decode_qmap(variables, max_degree, payload):
-    _require(isinstance(payload.get("rows"), list),
-             "qmap payload needs a \"rows\" list")
-    d = len(variables)
     monomial = _monomial_reader(variables)
-    assignments = {}
-    seen = set()
-    for idx, row in enumerate(payload["rows"]):
-        where = f" (row {idx + 1})"
-        _require(isinstance(row, dict) and "monomial" in row
-                 and isinstance(row.get("tensor"), list),
-                 f"each row needs \"monomial\" and a \"tensor\" list{where}")
-        m = monomial(row["monomial"], where)
-        _require(m.degree <= max_degree,
-                 f"row monomial exceeds max_degree{where}")
-        _require(m not in seen, f"duplicate row{where}")
-        seen.add(m)
+
+    def tensor(entries, where):
+        _require(isinstance(entries, list),
+                 f"\"tensor\" must be a list{where}")
         terms = {}
-        for ent in row["tensor"]:
+        for ent in entries:
             _require(isinstance(ent, list) and len(ent) == 3,
                      f"tensor entries must be [mono, mono, rational]{where}")
-            u, v = monomial(ent[0], where), monomial(ent[1], where)
-            _require((u, v) not in terms, f"duplicate tensor entry{where}")
-            terms[(u, v)] = parse_rational(ent[2], where)
-        t = Tensor2(terms)
-        if t:
-            assignments[m] = t
-    return QMap(d=d, domain_degree_bound=max_degree, assignments=assignments)
+            key = monomial(ent[0], where), monomial(ent[1], where)
+            _require(key not in terms, f"duplicate tensor entry{where}")
+            terms[key] = parse_rational(ent[2], where)
+        return Tensor2(terms)
+
+    rows = _read_rows("qmap", payload, max_degree, "monomial", monomial,
+                      "tensor", tensor)
+    return QMap(d=len(variables), domain_degree_bound=max_degree,
+                assignments=rows)
 
 
 def _decode_pmap(variables, max_degree, payload):
-    _require(isinstance(payload.get("rows"), list),
-             "pmap payload needs a \"rows\" list")
-    d = len(variables)
     monomial = _monomial_reader(variables)
-    assignments = {}
-    seen = set()
-    for idx, row in enumerate(payload["rows"]):
-        where = f" (row {idx + 1})"
-        _require(isinstance(row, dict) and "pair" in row and "value" in row,
-                 f"each row needs \"pair\" and \"value\"{where}")
-        pair = row["pair"]
-        _require(isinstance(pair, list) and len(pair) == 2,
+
+    def pair(ab, where, bound):
+        _require(isinstance(ab, list) and len(ab) == 2,
                  f"\"pair\" must list two monomials{where}")
-        a, b = monomial(pair[0], where), monomial(pair[1], where)
-        _require(max(a.degree, b.degree) <= max_degree,
-                 f"pair monomials exceed max_degree{where}")
-        _require((a, b) not in seen, f"duplicate pair{where}")
-        seen.add((a, b))
-        try:
-            p = parse_poly(row["value"], variables)
-        except ParseError as e:
-            raise SpecFormatError(f"pmap value{where}: {e}") from None
-        if p:
-            assignments[(a, b)] = p
-    return PMap(d=d, domain_degree_bound=max_degree, assignments=assignments)
+        return monomial(ab[0], where, bound), monomial(ab[1], where, bound)
+
+    rows = _read_rows("pmap", payload, max_degree, "pair", pair, "value",
+                      lambda src, where: _poly(src, variables, "pmap value",
+                                               where))
+    return PMap(d=len(variables), domain_degree_bound=max_degree,
+                assignments=rows)
 
 
 def spec_from_dict(doc):
     _require(isinstance(doc, dict), "spec document must be a JSON object")
     kind = doc.get("kind")
-    _require(kind in KINDS, f"unknown kind {kind!r}; expected one of {KINDS}")
+    _require(isinstance(kind, str) and kind in CODECS,
+             f"unknown kind {quoted(kind)}; expected one of {KINDS}")
     variables = doc.get("variables", [])
-    _require(isinstance(variables, list)
-             and all(isinstance(v, str) for v in variables),
-             "\"variables\" must be a list of names")
-    _require(len(set(variables)) == len(variables),
-             "variable names must be unique")
+    # a name the parser reads: a polynomial, and so a document the tool
+    # writes, could not name any other
+    _require(isinstance(variables, list) and all(
+        isinstance(v, str) and v.isascii() and v.isidentifier()
+        for v in variables) and len(set(variables)) == len(variables),
+        "\"variables\" must list distinct names such as \"x1\"")
     max_degree = doc.get("max_degree", 0)
     _require(_is_int(max_degree) and max_degree >= 0,
              "\"max_degree\" must be a non-negative integer")
     payload = doc.get("payload")
     _require(isinstance(payload, dict), "\"payload\" must be an object")
-    if kind == "finhopf":
-        structure, variables = _decode_finhopf(payload), []
-    else:
-        decode = {"poisson": _decode_poisson, "copoisson": _decode_copoisson,
-                  "struct_consts": _decode_struct_consts,
-                  "qmap": _decode_qmap, "pmap": _decode_pmap}[kind]
-        structure = decode(variables, max_degree, payload)
+    structure = CODECS[kind][0](variables, max_degree, payload)
     return StructureSpec(kind=kind, variables=list(variables),
                          max_degree=max_degree, structure=structure)
 
@@ -325,7 +304,8 @@ def _unique_keys(pairs):
     obj = {}
     for key, value in pairs:
         if key in obj:
-            raise SpecFormatError(f"repeated key {key!r} in one JSON object")
+            raise SpecFormatError(
+                f"repeated key {quoted(key)} in one JSON object")
         obj[key] = value
     return obj
 
@@ -350,86 +330,105 @@ def load_spec(path):
 
 # --- canonical serialization ---------------------------------------------
 
+def _writable(coeffs, what, key):
+    """Refuse, before anything is written, a coefficient whose numerator or
+    denominator has more digits than the reader's int() reads."""
+    digits = sys.get_int_max_str_digits()  # 0 when there is none
+    for c in coeffs:  # a part below 2^(3 digits) < 10^digits fits
+        if digits and (c.numerator.bit_length() > 3 * digits
+                       or c.denominator.bit_length() > 3 * digits) \
+                and max(abs(c.numerator), c.denominator) >= 10 ** digits:
+            raise SpecFormatError(f"cannot write {what} {quoted(key)}: a "
+                                  f"coefficient past the {digits}-digit limit")
+
+
 def poisson_payload(B, names):
     brackets = {}
     for (i, j) in sorted(B.f):
         p = B.f[(i, j)]
         if p:
-            brackets[f"{i + 1},{j + 1}"] = format_poly(p, names)
+            key = f"{i + 1},{j + 1}"
+            _writable(p.terms.values(), "poisson bracket", key)
+            brackets[key] = format_poly(p, names)
     return {"brackets": brackets,
             "mode": "series" if B.series_mode else "polynomial"}
 
 
-def copoisson_payload(I, names):
+def _rows_payload(what, assignments, order, key_field, write_key, value_field,
+                  write_value):
+    """A payload of "rows": {key_field: write_key(key), value_field:
+    write_value(value)} for each nonzero value, keys sorted by `order`."""
     rows = []
-    for m in sorted(I.rows, key=grlex_key):
-        mat = I.rows[m]
-        if mat.is_zero():
-            continue
-        lam = [[i + 1, j + 1, format_coeff(v)] for i, j, v in mat.upper()]
-        rows.append({"monomial": format_monomial(m, names), "lambda": lam})
+    for key in sorted(assignments, key=order):
+        value = assignments[key]
+        if value:
+            text = write_key(key)
+            _writable(value.terms.values(), what, text)
+            rows.append({key_field: text, value_field: write_value(value)})
     return {"rows": rows}
+
+
+def copoisson_payload(I, names):
+    return _rows_payload(
+        "copoisson row", I.rows, grlex_key,
+        "monomial", lambda m: format_monomial(m, names),
+        "lambda", lambda mat: [[i + 1, j + 1, format_coeff(v)]
+                               for i, j, v in mat.upper()])
 
 
 def struct_consts_payload(c, names):
-    lam = []
-    for (i, j, l) in sorted(c.lam):
-        lam.append([i + 1, j + 1, l + 1, format_coeff(c.lam[(i, j, l)])])
-    return {"lambda": lam}
+    return {"lambda": [[i + 1, j + 1, l + 1, format_coeff(v)]
+                       for (i, j, l), v in sorted(c.lam.items())]}
 
 
 def qmap_payload(q, names):
-    rows = []
-    for m in sorted(q.assignments, key=grlex_key):
-        t = q.assignments[m]
-        if not t:
-            continue
-        tensor = [[format_monomial(u, names), format_monomial(v, names),
-                   format_coeff(c)]
-                  for (u, v), c in t.items_sorted()]
-        rows.append({"monomial": format_monomial(m, names), "tensor": tensor})
-    return {"rows": rows}
+    return _rows_payload(
+        "qmap row", q.assignments, grlex_key,
+        "monomial", lambda m: format_monomial(m, names),
+        "tensor", lambda t: [[format_monomial(u, names),
+                              format_monomial(v, names), format_coeff(c)]
+                             for (u, v), c in t.items_sorted()])
 
 
 def pmap_payload(p, names):
-    rows = []
-    for (a, b) in sorted(p.assignments,
-                         key=lambda k: (grlex_key(k[0]), grlex_key(k[1]))):
-        val = p.assignments[(a, b)]
-        if not val:
-            continue
-        rows.append({"pair": [format_monomial(a, names),
-                              format_monomial(b, names)],
-                     "value": format_poly(val, names)})
-    return {"rows": rows}
+    return _rows_payload(
+        "pmap row", p.assignments,
+        lambda ab: (grlex_key(ab[0]), grlex_key(ab[1])),
+        "pair", lambda ab: [format_monomial(m, names) for m in ab],
+        "value", lambda val: format_poly(val, names))
 
 
-def finhopf_payload(H):
-    r = format_coeff
-    return {
-        "dim": H.dim,
-        "basis": list(H.basis_names),
-        "mult": [[[r(v) for v in row] for row in plane] for plane in H.mult],
-        "unit": [r(v) for v in H.unit],
-        "comult": [[[r(v) for v in row] for row in plane] for plane in H.comult],
-        "counit": [r(v) for v in H.counit],
-        "antipode": [[r(v) for v in row] for row in H.antipode],
-    }
+def finhopf_payload(H, names):
+    """The tables of H; a finite carrier names its basis, not `names`."""
+    def write(t, what):
+        if isinstance(t[0], (tuple, list)):
+            return [write(v, what) for v in t]
+        _writable(t, "finhopf table", what)
+        return [format_coeff(v) for v in t]
+    return {"dim": H.dim, "basis": list(H.basis_names),
+            **{what: write(getattr(H, what), what)
+               for what, _ in _FINHOPF_TABLES}}
+
+
+# each kind's (decoder, payload encoder): the one list of kinds
+CODECS = {
+    "poisson": (_decode_poisson, poisson_payload),
+    "copoisson": (_decode_copoisson, copoisson_payload),
+    "struct_consts": (_decode_struct_consts, struct_consts_payload),
+    "finhopf": (_decode_finhopf, finhopf_payload),
+    "qmap": (_decode_qmap, qmap_payload),
+    "pmap": (_decode_pmap, pmap_payload),
+}
+KINDS = tuple(CODECS)
 
 
 def spec_to_dict(spec):
-    if spec.kind == "finhopf":
-        payload = finhopf_payload(spec.structure)
-    else:
-        encode = {"poisson": poisson_payload, "copoisson": copoisson_payload,
-                  "struct_consts": struct_consts_payload,
-                  "qmap": qmap_payload, "pmap": pmap_payload}[spec.kind]
-        payload = encode(spec.structure, spec.variables or None)
     return {
         "kind": spec.kind,
         "variables": list(spec.variables),
         "max_degree": spec.max_degree,
-        "payload": payload,
+        "payload": CODECS[spec.kind][1](spec.structure,
+                                        spec.variables or None),
     }
 
 

@@ -44,7 +44,18 @@ from .algebra import Poly, _trusted_monomial, bump
 
 MAX_NESTING = 100
 MAX_POWER_TERMS = 128  # (x1 + 7654321/1234567)^127 parses in about 0.2 s
+QUOTE_CHARS = 40
 _ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
+
+
+def quoted(value):
+    """repr(value) for an error line; a longer one is cut to its first
+    QUOTE_CHARS characters and followed by its length, so that refused
+    input of any size gives a short line."""
+    text = repr(value)
+    if len(text) <= QUOTE_CHARS:
+        return text
+    return f"{text[:QUOTE_CHARS]}... ({len(text)} characters)"
 
 
 def _size(v):
@@ -245,7 +256,7 @@ class _Parser:
             return (value, None, 0)
         if kind == "name":
             if value not in self.index:
-                raise ParseError(f"unknown identifier {value!r}", col)
+                raise ParseError(f"unknown identifier {quoted(value)}", col)
             return (None, self.index[value], 1)
         if kind == "(":
             self.nest(col)
@@ -257,7 +268,7 @@ class _Parser:
             return p
         if kind == "end":
             raise ParseError("unexpected end of input", col)
-        raise ParseError(f"unexpected token {value!r}", col)
+        raise ParseError(f"unexpected token {quoted(value)}", col)
 
 
 def parse_poly(src, variables):
@@ -268,5 +279,5 @@ def parse_poly(src, variables):
     p = parser.expr()
     tok = parser.peek()
     if tok[0] != "end":
-        raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
+        raise ParseError(f"unexpected token {quoted(tok[1])}", tok[2])
     return p

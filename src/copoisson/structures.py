@@ -84,10 +84,6 @@ class SkewMatrix(Tensor2):
                    for (u, v), c in self.terms.items())
         return sorted(e for e in entries if e[0] < e[1])
 
-    def to_tensor2(self):
-        """sum lambda^ij x_i (x) x_j in the skew space: the matrix itself."""
-        return self
-
 
 @dataclass(frozen=True)
 class ITable(QMap):

@@ -568,7 +568,7 @@ def test_scaled_tables():
     assert D == 5 and I.scaled() is I.scaled() and type(Is) is QMap
     assert Is(x).terms == {(x, y): 2, (y, x): -2}
     assert all(type(c) is int for c in Is(x).terms.values())
-    assert I(x) is I(x) and I(x) == I.matrix(x).to_tensor2()
+    assert I(x) is I(x) and I(x) == I.matrix(x)
     # the inherited constructor builds a plain QMap, not an ITable
     back = ITable.from_scaled(Is, D)
     assert type(back) is QMap and back.assignments == I.assignments

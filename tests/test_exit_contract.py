@@ -3,10 +3,12 @@
 Every fixture has each value below its root replaced, one at a time, by a
 value of a wrong JSON type, and a key of each of its objects written
 twice; deeply nested JSON is read as well, and small generated documents
-of all six kinds, valid or with one hostile edit each.  On each, `main`
-must return (nothing escapes it), the code must be one that
-README.md documents other than 4, "internal error", and 1, "a check
-failed", must come only with a report that holds a failed check.
+of all six kinds, valid or with one hostile edit each, through `check`
+and every `transform` that applies to their kind.  On each, `main` must
+return (nothing escapes it), the code must be one that README.md
+documents other than 4, "internal error", and 1, "a check failed", must
+come only with a report that holds a failed check.  Every document that
+`transform` writes loads back.
 """
 
 import io
@@ -21,9 +23,12 @@ from hypothesis import given, settings, strategies as st
 
 import copoisson.cli as cli
 from copoisson.cli import main
-from copoisson.fileformat import StructureSpec, load_spec, spec_to_dict
+from copoisson.algebra import Monomial, Poly, format_coeff
+from copoisson.fileformat import (KINDS, SpecFormatError, StructureSpec,
+                                  load_spec, spec_from_dict, spec_to_dict)
 from copoisson.finite import group_algebra_z2, sweedler_h4
 from copoisson.parser import parse_poly
+from copoisson.structures import BracketTable, copoisson_from_series
 
 from conftest import FIXTURES
 
@@ -40,6 +45,19 @@ def documented_codes():
 
 def test_readme_documents_the_five_codes():
     assert documented_codes() == {0, 1, 2, 3, 4}
+
+
+def documented_kinds():
+    """The kinds in backticks in README.md's "Input files carry a `kind`
+    field" sentence."""
+    text = README.read_text()
+    start = text.index("Input files carry a `kind` field:")
+    sentence = text[start:text.index(". ", start)]
+    return set(re.findall(r"`(\w+)`", sentence)) - {"kind"}
+
+
+def test_readme_documents_every_kind():
+    assert documented_kinds() == set(KINDS)
 
 
 def value_paths(doc, path=()):
@@ -75,6 +93,25 @@ def assert_contract(path):
     if code == 1:
         report = json.loads(out.getvalue())
         assert not all(c["passed"] for c in report["checks"])
+    return code
+
+
+# the `transform --to` targets that apply to each kind; a poisson bracket
+# has one per mode, and the other exits 2
+TRANSFORMS = {"poisson": ("copoisson", "p"), "copoisson": ("q", "series"),
+              "struct_consts": ("copoisson",), "finhopf": (), "qmap": ("i",),
+              "pmap": ("j",)}
+
+
+def assert_transform_contract(path, to):
+    """`transform --to` exits with a documented code other than 1 and 4,
+    and what it writes at exit 0 loads back as the same document."""
+    out = io.StringIO()
+    code = main(["transform", str(path), "--to", to], out=out)
+    assert code in documented_codes() - {1, 4}
+    if code == 0:
+        doc = json.loads(out.getvalue())["transforms"][0]["output"]
+        assert spec_to_dict(spec_from_dict(doc)) == doc
     return code
 
 
@@ -403,15 +440,126 @@ EDITS = ("none", *HOSTILE_TEXT, "wrong-type", "index", "repeated-key",
          "not-utf8")
 
 
+def test_every_target_applies_to_some_kind():
+    choices = {"q", "i", "j", "p", "copoisson", "series"}
+    assert set().union(*TRANSFORMS.values()) == choices
+    assert set(TRANSFORMS) == set(KINDS)
+
+
 @settings(deadline=None, max_examples=300)
-@given(st.sampled_from(["poisson", "copoisson", "struct_consts", "finhopf",
-                        "qmap", "pmap"]), st.sampled_from(EDITS), st.data())
+@given(st.sampled_from(KINDS), st.sampled_from(EDITS), st.data())
 def test_generated_documents_keep_the_exit_contract(scratch, kind, edit,
                                                     data):
     # valid documents of every kind, and each with one hostile edit: the
-    # code is documented and never 4, and 1 comes only with a failed check
+    # code is documented and never 4, 1 comes only with a failed check,
+    # and every transform output loads back
     doc = data.draw(spec_docs(kind))
     scratch.write_bytes(hostile(data.draw, doc, edit))
-    code = assert_contract(scratch)
+    codes = [assert_contract(scratch)] + [
+        assert_transform_contract(scratch, to) for to in TRANSFORMS[kind]]
     if edit in ("index", "repeated-key", "not-utf8"):
-        assert code == 3
+        assert set(codes) == {3}
+
+
+# --- what the tool writes, its reader reads ----------------------------------
+
+NINES = "9" * 4300
+SUM = {"kind": "poisson", "variables": ["x1", "x2", "x3"], "max_degree": 2,
+       "payload": {"brackets": {"1,2": f"{NINES}*x3 + {NINES}*x3"},
+                   "mode": "polynomial"}}
+SERIES = {"kind": "poisson", "variables": ["x1", "x2", "x3"],
+          "max_degree": 60, "payload": {
+              "brackets": {"1,2": "7" * 4250 + "*x3^60"}, "mode": "series"}}
+
+
+@pytest.mark.parametrize("doc, command, named", [
+    (SUM, ["transform", "--to", "p"], "poisson bracket '1,2'"),
+    (SUM, ["check"], "poisson bracket '1,2'"),
+    (SERIES, ["transform", "--to", "copoisson"], "copoisson row 'x3^60'"),
+], ids=["sum-to-p", "sum-check", "series-to-copoisson"])
+def test_a_coefficient_the_reader_refuses_is_not_written(scratch, capsys, doc,
+                                                         command, named):
+    # each literal loads, but a sum or the series rescaling by 60! has a
+    # coefficient past the 4300-digit limit: `check` writes the input's
+    # canonical form for its digest, and `transform` its output
+    scratch.write_text(json.dumps(doc))
+    out = io.StringIO()
+    assert main([command[0], str(scratch), *command[1:]], out=out) == 3
+    assert out.getvalue() == ""
+    err = capsys.readouterr().err
+    assert named in err and "past the 4300-digit limit" in err
+
+
+@pytest.mark.parametrize("c", [
+    Fraction(-(10 ** 4300 - 1)), Fraction(1, 10 ** 4300 - 1),
+    Fraction(-(10 ** 4300)), Fraction(1, 10 ** 4300)],
+    ids=["4300-digit-numerator", "4300-digit-denominator",
+         "4301-digit-numerator", "4301-digit-denominator"])
+def test_the_writer_refuses_what_the_reader_refuses(c):
+    B = BracketTable(d=3, f={(0, 1): Poly({Monomial((0, 0, 1)): c})})
+    spec = StructureSpec("poisson", ["x1", "x2", "x3"], 2, B)
+    if max(abs(c.numerator), c.denominator) < 10 ** 4300:
+        assert spec_from_dict(spec_to_dict(spec)) == spec
+    else:
+        with pytest.raises(SpecFormatError, match="4300-digit limit"):
+            spec_to_dict(spec)
+
+
+def test_a_refused_rational_is_quoted_in_a_short_line(scratch, capsys):
+    # the copoisson table the series case used to write: its --to series
+    # refusal printed the whole 4332-character rational
+    B = spec_from_dict(SERIES).structure
+    (m, mat), = copoisson_from_series(B).rows.items()
+    doc = {"kind": "copoisson", "variables": SERIES["variables"],
+           "max_degree": 60, "payload": {"rows": [
+               {"monomial": "x3^60", "lambda": [[1, 2, format_coeff(v)]
+                                                for _, _, v in mat.upper()]}]}}
+    scratch.write_text(json.dumps(doc))
+    assert main(["transform", str(scratch), "--to", "series"],
+                out=io.StringIO()) == 3
+    err = capsys.readouterr().err
+    assert "malformed rational" in err and len(err.encode()) < 200
+
+
+LONG = 5000
+# (fixture, path of the value, the long value); no path: a bracket key
+QUOTED = {
+    "kind": ("so3.json", ("kind",), "k" * LONG),
+    "rational": ("so3.json", ("payload", "lambda", 0, 3), "1" * LONG),
+    "rational-type": ("so3.json", ("payload", "lambda", 0, 3), [1] * LONG),
+    "bracket-key": ("quadratic_d3.json", None, "1" * LONG + ",2"),
+    "unknown-identifier": ("quadratic_d3.json",
+                           ("payload", "brackets", "1,2"), "y" * LONG),
+    "unexpected-token": ("quadratic_d3.json", ("payload", "brackets", "1,2"),
+                         "x1 " + "z" * LONG),
+    "row-monomial": ("copoisson_d2.json", ("payload", "rows", 0, "monomial"),
+                     "y" * LONG),
+    "row-monomial-degree": ("copoisson_d2.json",
+                            ("payload", "rows", 0, "monomial"),
+                            "x1^" + "9" * 599),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUOTED))
+def test_refused_input_is_quoted_by_its_prefix(scratch, capsys, name):
+    fixture, path, value = QUOTED[name]
+    if path is None:
+        doc = json.loads(json.dumps(DOCS[fixture]))
+        brackets = doc["payload"]["brackets"]
+        brackets[value] = brackets.pop("1,2")
+    else:
+        doc = replaced(DOCS[fixture], path, value)
+    scratch.write_text(json.dumps(doc))
+    assert assert_contract(scratch) == 3
+    err = capsys.readouterr().err
+    assert "characters)" in err and len(err.encode()) < 200
+
+
+@pytest.mark.parametrize("name", ["2", "x 1", "x1*x2", "2^2000*2^2000", "é"])
+def test_a_variable_the_parser_cannot_name_exits_3(scratch, capsys, name):
+    # such a name used to load and be written into monomials that the
+    # reader refused: struct_consts --to copoisson wrote "2^2000*2^2000"
+    scratch.write_text(json.dumps(replaced(DOCS["so3.json"],
+                                           ("variables", 1), name)))
+    assert assert_contract(scratch) == 3
+    assert "distinct names" in capsys.readouterr().err

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from copoisson.algebra import Monomial, Poly, format_poly
 from copoisson.parser import (
-    MAX_NESTING, MAX_POWER_TERMS, ParseError, _tokenize, parse_poly)
+    MAX_NESTING, MAX_POWER_TERMS, ParseError, _tokenize, parse_poly, quoted)
 
 from conftest import random_poly
 
@@ -140,7 +140,7 @@ class ReferenceParser:
         p = self.expr()
         tok = self.peek()
         if tok[0] != "end":
-            raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
+            raise ParseError(f"unexpected token {quoted(tok[1])}", tok[2])
         return p
 
     def expr(self):
@@ -223,7 +223,7 @@ class ReferenceParser:
             return Poly.constant(self.d, value)
         if kind == "name":
             if value not in self.index:
-                raise ParseError(f"unknown identifier {value!r}", col)
+                raise ParseError(f"unknown identifier {quoted(value)}", col)
             return Poly.from_monomial(Monomial.variable(self.d, self.index[value]))
         if kind in ("(", "-", "+"):
             self.depth += 1
@@ -242,7 +242,7 @@ class ReferenceParser:
             return p
         if kind == "end":
             raise ParseError("unexpected end of input", col)
-        raise ParseError(f"unexpected token {value!r}", col)
+        raise ParseError(f"unexpected token {quoted(value)}", col)
 
 
 def outcome(parse, text, names):

@@ -86,7 +86,7 @@ def test_each_row_is_stored_once_as_its_skew_tensor(rng):
                                        rng.choice([1, 2, 3]))
                          for _ in range(12)]:
         for m, mat in I.rows.items():
-            assert I.matrix(m).to_tensor2() is I(m) is mat
+            assert I.matrix(m) is I(m) is mat
             d = mat.d
             upper = {(i, j): v for i, j, v in mat.upper()}
             assert upper and all(upper.values())
