@@ -348,6 +348,47 @@ def test_default_degree_skips_an_unaffordable_check(tmp_path, doc, name,
                 "--max-degree", "0"]) == (2, "")
 
 
+INSIDE_THE_RANGE = [
+    # cojacobi-coeffs reads the table at N + 1, so it runs at 2 of 3
+    ({"kind": "copoisson", "variables": ["x1", "x2", "x3"], "max_degree": 3,
+      "payload": {"rows": [
+          {"monomial": "x1", "lambda": [[1, 2, "1"], [2, 3, "2"]]},
+          {"monomial": "x2*x3", "lambda": [[1, 3, "-1/2"]]},
+          {"monomial": "x1^2*x3", "lambda": [[1, 2, "3"]]}]}},
+     "cojacobi-coeffs", 2),
+    # (q (x) 1) q(x1^2) needs q at degree 3, past the bound 2
+    ({"kind": "qmap", "variables": ["x1", "x2"], "max_degree": 2,
+      "payload": {"rows": [
+          {"monomial": "x1", "tensor": [["x1", "x2", "1"],
+                                        ["x2", "x1", "-1"]]},
+          {"monomial": "x2", "tensor": [["x1", "x2", "1"]]},
+          {"monomial": "x1^2", "tensor": [["x1^3", "x2", "1"],
+                                          ["x2", "x1^3", "-1"]]}]}},
+     "cojacobi", 1),
+]
+
+
+@pytest.mark.parametrize("doc, name, degree", INSIDE_THE_RANGE,
+                         ids=["copoisson", "qmap"])
+def test_default_degree_steps_down_to_the_largest_affordable(tmp_path, doc,
+                                                             name, degree):
+    # a default degree strictly between 0 and max_degree: the check's
+    # default report is its report at that degree, asked for explicitly
+    assert 0 < degree < doc["max_degree"]
+    p = tmp_path / "spec.json"
+    p.write_text(dump_json(doc))
+    default = run(["check", str(p), "--format", "json"])[1]
+    (report,) = [c for c in json.loads(default)["checks"]
+                 if c["check"] == name]
+    code, explicit = run(["check", str(p), "--checks", name, "--format",
+                          "json", "--max-degree", str(degree)])
+    assert report == json.loads(explicit)["checks"][0]
+    assert report["degree_checked"] == degree and "skipped" not in report
+    assert code == (0 if report["passed"] else 1)
+    assert run(["check", str(p), "--checks", name, "--max-degree",
+                str(degree + 1)]) == (2, "")
+
+
 @pytest.mark.parametrize("doc", [
     {"kind": "copoisson", "variables": ["x1", "x2"], "max_degree": True,
      "payload": {"rows": []}},
