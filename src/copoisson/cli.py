@@ -34,7 +34,6 @@ from .checks import (
     check_poisson_hopf_compat,
     check_skew,
     check_support_condition,
-    cojacobi_affordable_degree,
     in_skew_generator_space,
     linear_relations,
     CheckReport,
@@ -114,61 +113,63 @@ def _emit(report, fmt, out):
 # --- check command --------------------------------------------------------
 
 def _copoisson_checks(q, I=None):
-    """Registry for cobracket-like structures; each entry is
-    (default-degree-fn, runner)."""
+    """The checks of a cobracket-like structure, each a runner of N."""
     reg = {
-        "skew": (lambda N: N, lambda N: check_skew(q, N)),
-        "counit-kill": (lambda N: N, lambda N: check_counit_kill(q, N)),
-        "coleibniz": (lambda N: N, lambda N: check_coleibniz(q, N)),
-        "cojacobi": (lambda N: min(N, cojacobi_affordable_degree(q)),
-                     lambda N: check_cojacobi(q, N)),
-        "delta-derivation": (lambda N: N,
-                             lambda N: check_delta_derivation(q, N)),
-        "antipode-coanti": (lambda N: N,
-                            lambda N: check_antipode_coanti(q, N)),
+        "skew": lambda N: check_skew(q, N),
+        "counit-kill": lambda N: check_counit_kill(q, N),
+        "coleibniz": lambda N: check_coleibniz(q, N),
+        "cojacobi": lambda N: check_cojacobi(q, N),
+        "delta-derivation": lambda N: check_delta_derivation(q, N),
+        "antipode-coanti": lambda N: check_antipode_coanti(q, N),
     }
     if I is not None:
-        reg["cojacobi-coeffs"] = (
-            lambda N: min(N, I.domain_degree_bound - 1),
-            lambda N: check_cojacobi_coeffs(I, N))
-        reg["support"] = (lambda N: N,
-                          lambda N: check_support_condition(I))
+        reg["cojacobi-coeffs"] = lambda N: check_cojacobi_coeffs(I, N)
+        reg["support"] = lambda N: check_support_condition(I)
     return reg
 
 
-def _check_registry(spec):
-    kind = spec.kind
-    if kind == "copoisson":
-        I = spec.structure
-        return _copoisson_checks(make_copoisson(I), I)
-    if kind == "qmap":
-        return _copoisson_checks(spec.structure)
-    if kind in ("poisson", "struct_consts"):
-        if kind == "poisson":
-            B = spec.structure
-            reg = {}
-        else:
-            c = spec.structure
-            B = linear_poisson(c)
-            reg = {"linear-relations": (lambda N: 1,
-                                        lambda N: check_linear_relations(c))}
-        reg["jacobi"] = (lambda N: N, lambda N: check_jacobi(B, N))
-        if not B.series_mode:
-            # eps-s needs the compatibility verdict; compute it once per N
-            compat = lru_cache(maxsize=None)(
-                lambda N: check_poisson_hopf_compat(B, N))
-            reg["poisson-hopf"] = (lambda N: N, compat)
-            reg["eps-s"] = (lambda N: N, lambda N: check_eps_s_morphisms(
-                B, N, compat(N)))
-        return reg
-    if kind == "finhopf":
-        # the Hopf axioms were validated exactly while loading
-        def passed(N):
-            return CheckReport(check_name="hopf-axioms", passed=True,
-                               degree_checked=0,
-                               note="validated at load time")
-        return {"hopf-axioms": (lambda N: 0, passed)}
-    raise UsageError(f"no checks defined for kind {spec.kind!r}")
+def _bracket_checks(B):
+    reg = {"jacobi": lambda N: check_jacobi(B, N)}
+    if not B.series_mode:
+        # eps-s needs the compatibility verdict; compute it once per N
+        compat = lru_cache(maxsize=None)(
+            lambda N: check_poisson_hopf_compat(B, N))
+        reg["poisson-hopf"] = compat
+        reg["eps-s"] = lambda N: check_eps_s_morphisms(B, N, compat(N))
+    return reg
+
+
+def _hopf_axioms(N):
+    # the Hopf axioms of a finhopf file were validated exactly while loading
+    return CheckReport(check_name="hopf-axioms", passed=True,
+                       degree_checked=0, note="validated at load time")
+
+
+# kind: the checks of a structure of that kind, as {name: runner}
+CHECKS = {
+    "poisson": _bracket_checks,
+    "copoisson": lambda I: _copoisson_checks(make_copoisson(I), I),
+    "struct_consts": lambda c: {
+        "linear-relations": lambda N: check_linear_relations(c),
+        **_bracket_checks(linear_poisson(c))},
+    "finhopf": lambda H: {"hopf-axioms": _hopf_axioms},
+    "qmap": _copoisson_checks,
+}
+
+
+def _at_largest_degree(name, runner, top):
+    """runner(N) at the largest N <= top that the check's own bound accepts
+    (each check raises DegreeBoundError before doing any work).  A check
+    that accepts not even degree 0 is skipped, with the degree-0 error:
+    only an explicitly requested degree is a usage error."""
+    for N in range(top, -1, -1):
+        try:
+            return runner(N)
+        except DegreeBoundError as e:
+            error = e
+    return CheckReport(check_name=name, passed=True, degree_checked=0,
+                       skipped=True,
+                       note=f"not affordable at any degree: {error}")
 
 
 SELECTOR_ALIASES = {
@@ -180,7 +181,9 @@ def cmd_check(args, out):
     if args.max_degree is not None and args.max_degree < 0:
         raise UsageError("--max-degree must be a non-negative integer")
     spec = load_spec(args.spec)
-    registry = _check_registry(spec)
+    if spec.kind not in CHECKS:
+        raise UsageError(f"no checks defined for kind {spec.kind!r}")
+    registry = CHECKS[spec.kind](spec.structure)
     if args.checks:
         names = []
         for raw in args.checks.split(","):
@@ -193,23 +196,13 @@ def cmd_check(args, out):
                 names.append(name)
     else:
         names = sorted(registry)
-    explicit = args.max_degree is not None
-    base = args.max_degree if explicit else spec.max_degree
     report = ReportDocument(command="check",
                             input_digest=spec_digest(spec_to_dict(spec)))
     for name in names:
-        default_deg, runner = registry[name]
-        if explicit:
-            report.checks.append(runner(base))
-            continue
-        try:
-            report.checks.append(runner(max(0, default_deg(base))))
-        except DegreeBoundError as e:
-            # the table cannot afford even degree 0; only an explicitly
-            # requested degree is a usage error
-            report.checks.append(CheckReport(
-                check_name=name, passed=True, degree_checked=0, skipped=True,
-                note=f"not affordable at any degree: {e}"))
+        runner = registry[name]
+        report.checks.append(
+            _at_largest_degree(name, runner, spec.max_degree)
+            if args.max_degree is None else runner(args.max_degree))
     _emit(report, args.format, out)
     return EXIT_PASS if report.all_passed() else EXIT_CHECK_FAILED
 
@@ -262,48 +255,50 @@ def _pmap_to_bracket(p, names):
     return B
 
 
+def _series_to_copoisson(B, N, names):
+    if not B.series_mode:
+        raise UsageError(
+            "poisson --to copoisson needs a series-mode bracket "
+            "(the correspondence rescales coefficients degree by degree); "
+            "set \"mode\": \"series\"")
+    return "copoisson", N, copoisson_from_series(B)
+
+
+def _bracket_to_pmap(B, N, names):
+    if B.series_mode:
+        raise UsageError("poisson --to p is defined in polynomial mode")
+    return "pmap", N, pmap_from_bracket(B, N)
+
+
+# (kind, --to target): (structure, max_degree, variables) -> the output's
+# (kind, max_degree, structure); argparse lists the targets in this order
+TRANSFORMS = {
+    ("copoisson", "q"): lambda I, N, names: ("qmap", N, make_copoisson(I)),
+    ("qmap", "i"): lambda q, N, names: (
+        "copoisson", N, _qmap_to_itable(q, names)),
+    ("pmap", "j"): lambda p, N, names: (
+        "poisson", N, _pmap_to_bracket(p, names)),
+    ("poisson", "p"): _bracket_to_pmap,
+    ("struct_consts", "copoisson"): lambda c, N, names: (
+        "copoisson", 1, itable_from_consts(c)),
+    ("poisson", "copoisson"): _series_to_copoisson,
+    ("copoisson", "series"): lambda I, N, names: (
+        "poisson", N, series_from_copoisson(I)),
+}
+
+
 def cmd_transform(args, out):
     spec = load_spec(args.spec)
-    to = args.to
-    kind, s = spec.kind, spec.structure
-    if kind == "struct_consts" and to == "copoisson":
-        I = itable_from_consts(s)
-        result = StructureSpec("copoisson", spec.variables, 1, I)
-    elif kind == "copoisson" and to == "series":
-        B = series_from_copoisson(s)
-        result = StructureSpec("poisson", spec.variables,
-                               s.domain_degree_bound, B)
-    elif kind == "copoisson" and to == "q":
-        q = make_copoisson(s)
-        result = StructureSpec("qmap", spec.variables,
-                               s.domain_degree_bound, q)
-    elif kind == "qmap" and to == "i":
-        I = _qmap_to_itable(s, spec.variables)
-        result = StructureSpec("copoisson", spec.variables,
-                               s.domain_degree_bound, I)
-    elif kind == "poisson" and to == "copoisson":
-        if not s.series_mode:
-            raise UsageError(
-                "poisson --to copoisson needs a series-mode bracket "
-                "(the correspondence rescales coefficients degree by degree); "
-                "set \"mode\": \"series\"")
-        I = copoisson_from_series(s)
-        result = StructureSpec("copoisson", spec.variables,
-                               s.truncation_degree, I)
-    elif kind == "poisson" and to == "p":
-        if s.series_mode:
-            raise UsageError("poisson --to p is defined in polynomial mode")
-        p = pmap_from_bracket(s, spec.max_degree)
-        result = StructureSpec("pmap", spec.variables, spec.max_degree, p)
-    elif kind == "pmap" and to == "j":
-        B = _pmap_to_bracket(s, spec.variables)
-        result = StructureSpec("poisson", spec.variables, spec.max_degree, B)
-    else:
-        raise UsageError(
-            f"transform --to {to} is not applicable to kind {kind!r}")
+    transform = TRANSFORMS.get((spec.kind, args.to))
+    if transform is None:
+        raise UsageError(f"transform --to {args.to} is not applicable to "
+                         f"kind {spec.kind!r}")
+    kind, max_degree, structure = transform(spec.structure, spec.max_degree,
+                                            spec.variables)
+    result = StructureSpec(kind, spec.variables, max_degree, structure)
     report = ReportDocument(command="transform",
                             input_digest=spec_digest(spec_to_dict(spec)))
-    report.transforms.append({"to": to, "output": spec_to_dict(result)})
+    report.transforms.append({"to": args.to, "output": spec_to_dict(result)})
     _emit(report, args.format, out)
     return EXIT_PASS
 
@@ -386,7 +381,7 @@ def build_parser():
     p = sub.add_parser("transform", help="convert between representations")
     p.add_argument("spec")
     p.add_argument("--to", required=True,
-                   choices=("q", "i", "j", "p", "copoisson", "series"))
+                   choices=tuple(dict.fromkeys(to for _, to in TRANSFORMS)))
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=cmd_transform)
 

@@ -48,7 +48,11 @@ def parse_rational(s, where=""):
     try:
         if m:
             return Fraction(int(m[1]), int(m[2] or 1))
-    except (ValueError, ZeroDivisionError):  # past int()'s digit limit, or /0
+    except ValueError:  # digits that int() refuses are past its limit
+        raise SpecFormatError(
+            f"rational past the {sys.get_int_max_str_digits()}-digit limit "
+            f"{quoted(s)}{where}") from None
+    except ZeroDivisionError:
         pass
     raise SpecFormatError(f"malformed rational {quoted(s)}{where}")
 

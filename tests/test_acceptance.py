@@ -8,6 +8,7 @@ import io
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from copoisson.algebra import Monomial, Poly, monomials
 from copoisson.checks import (
@@ -26,8 +27,10 @@ from copoisson.checks import (
 from copoisson.cli import main
 from copoisson.dual import verify_main5_roundtrip
 from copoisson.finite import (
+    FinHopf,
     quadratic_residual_family,
     qvals_from_vector,
+    rref,
     solve_copoisson_family,
     solve_poisson_family,
     sweedler_h4,
@@ -50,6 +53,7 @@ from conftest import (
     random_itable,
     so3_consts,
 )
+from test_finite import group_algebra_s3, mixed_h4
 
 
 def report(name, ok):
@@ -318,3 +322,65 @@ def test_acceptance_9_cli_end_to_end():
         if not text1.strip() or json.loads(text1) is None:
             ok = False
     report("9 CLI determinism and exit codes", ok)
+
+
+def dual(H):
+    """H* on the dual basis e^i: its product is Delta transposed, its Delta
+    the product transposed, unit and counit swap, and S is transposed."""
+    r = range(H.dim)
+    return FinHopf.create(
+        dim=H.dim, basis_names=[f"{name}*" for name in H.basis_names],
+        mult=[[[H.comult[k][i][j] for k in r] for j in r] for i in r],
+        unit=H.counit,
+        comult=[[[H.mult[i][j][k] for j in r] for i in r] for k in r],
+        counit=H.unit,
+        antipode=[[H.antipode[j][i] for j in r] for i in r])
+
+
+def tables(H):
+    return H.mult, H.unit, H.comult, H.counit, H.antipode
+
+
+def cobracket_of_bracket(n, vec):
+    """The co-Poisson vector of X* that the Poisson vector vec of X gives,
+    q(e^k) = sum {e_i, e_j}_k e^i (x) e^j: q(e^k)_{ij} = {e_i, e_j}_k and
+    q(e^k)_{ji} = -{e_i, e_j}_k, at the solver's index (k n + i) n + j."""
+    q = {}
+    for idx, (i, j) in enumerate(combinations(range(n), 2)):
+        for k in range(n):
+            if vec[idx * n + k]:
+                q[(k * n + i) * n + j] = vec[idx * n + k]
+                q[(k * n + j) * n + i] = -vec[idx * n + k]
+    return q
+
+
+def test_acceptance_10_finite_dual_is_the_full_dual():
+    """The main theorem where H is finite-dimensional, hence noetherian,
+    so that H° = H*: the Poisson family of X, each member transposed into
+    a cobracket of X* by delta(xi)(a (x) b) = xi({a, b}), spans the
+    co-Poisson family of X*, with and without the Hopf conditions, for
+    (X, X*) = (H, H*) and (H*, H).  The two families come from two row
+    builders, so neither side reuses the other's code path.  Dimensions
+    in the order P(H), C(H*), P(H*), C(H); k[S3] is the sharp case, as its
+    dual k^S3 is commutative and the two sides differ."""
+    ok = True
+    carriers = [(sweedler_h4(), (2, 2, 2, 2)),
+                (group_algebra_s3(), (1, 1, 0, 0)),
+                (mixed_h4(), (2, 2, 2, 2))]
+    for H, dims in carriers:
+        ok = ok and tables(dual(dual(H))) == tables(H)
+        for hopf in (False, True):
+            seen = []
+            for X in (H, dual(H)):
+                n = X.dim
+                mapped = [cobracket_of_bracket(n, v) for v in
+                          solve_poisson_family(X, hopf_compat=hopf).basis]
+                family = [{c: v for c, v in enumerate(vec) if v} for vec in
+                          solve_copoisson_family(dual(X),
+                                                 hopf_compat=hopf).basis]
+                rank = lambda rows: len(rref(rows, n ** 3)[1])
+                ok = ok and (rank(mapped) == len(mapped)
+                             == rank(family) == rank(mapped + family))
+                seen += [len(mapped), len(family)]
+            ok = ok and tuple(seen) == (dims if not hopf else (0,) * 4)
+    report("10 finite carriers: H° = H*", ok)

@@ -14,6 +14,7 @@ come only with a report that holds a failed check.  Every document that
 import io
 import json
 import re
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -60,6 +61,22 @@ def test_readme_documents_every_kind():
     assert documented_kinds() == set(KINDS)
 
 
+def documented_transforms():
+    """The (kind, target) pairs of README.md's `transform --to` table."""
+    text = README.read_text()
+    start = text.index("| kind | `--to` targets |")
+    pairs = set()
+    for row in text[start:].split("\n\n")[0].splitlines()[2:]:
+        (kind,), targets = (re.findall(r"`(\w+)`", cell)
+                            for cell in row.split("|")[1:3])
+        pairs.update((kind, target) for target in targets)
+    return pairs
+
+
+def test_readme_documents_every_transform():
+    assert documented_transforms() == set(cli.TRANSFORMS)
+
+
 def value_paths(doc, path=()):
     """The path of every value below the root, containers included."""
     if path:
@@ -94,13 +111,6 @@ def assert_contract(path):
         report = json.loads(out.getvalue())
         assert not all(c["passed"] for c in report["checks"])
     return code
-
-
-# the `transform --to` targets that apply to each kind; a poisson bracket
-# has one per mode, and the other exits 2
-TRANSFORMS = {"poisson": ("copoisson", "p"), "copoisson": ("q", "series"),
-              "struct_consts": ("copoisson",), "finhopf": (), "qmap": ("i",),
-              "pmap": ("j",)}
 
 
 def assert_transform_contract(path, to):
@@ -169,6 +179,20 @@ def test_a_rational_in_another_form_exits_3_at_once(scratch, capsys, value):
     assert assert_contract(scratch) == 3
     assert time.perf_counter() - start < 1
     assert "malformed rational" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["7" * 4400, "-1/" + "7" * 4301],
+                         ids=["4400-digit-numerator", "4301-digit-denominator"])
+def test_a_rational_past_the_digit_limit_is_named_so(scratch, capsys, value):
+    # the documented form, with more digits than int() reads: it used to
+    # be called malformed, as "1.5" still is
+    scratch.write_text(json.dumps(replaced(
+        DOCS["so3.json"], ("payload", "lambda", 0, 3), value)))
+    assert assert_contract(scratch) == 3
+    err = capsys.readouterr().err
+    limit = sys.get_int_max_str_digits()
+    assert f"rational past the {limit}-digit limit" in err
+    assert "malformed" not in err
 
 
 def test_signed_and_unreduced_rationals_still_load(scratch):
@@ -441,9 +465,14 @@ EDITS = ("none", *HOSTILE_TEXT, "wrong-type", "index", "repeated-key",
 
 
 def test_every_target_applies_to_some_kind():
-    choices = {"q", "i", "j", "p", "copoisson", "series"}
-    assert set().union(*TRANSFORMS.values()) == choices
-    assert set(TRANSFORMS) == set(KINDS)
+    # every kind of cli.TRANSFORMS is one the file format reads, and
+    # argparse offers exactly its targets
+    (commands,) = [a for a in cli.build_parser()._actions
+                   if isinstance(a.choices, dict)]
+    (to,) = [a for a in commands.choices["transform"]._actions
+             if a.dest == "to"]
+    assert {kind for kind, _ in cli.TRANSFORMS} <= set(KINDS)
+    assert set(to.choices) == {target for _, target in cli.TRANSFORMS}
 
 
 @settings(deadline=None, max_examples=300)
@@ -456,7 +485,8 @@ def test_generated_documents_keep_the_exit_contract(scratch, kind, edit,
     doc = data.draw(spec_docs(kind))
     scratch.write_bytes(hostile(data.draw, doc, edit))
     codes = [assert_contract(scratch)] + [
-        assert_transform_contract(scratch, to) for to in TRANSFORMS[kind]]
+        assert_transform_contract(scratch, to)
+        for k, to in cli.TRANSFORMS if k == kind]
     if edit in ("index", "repeated-key", "not-utf8"):
         assert set(codes) == {3}
 
@@ -518,7 +548,8 @@ def test_a_refused_rational_is_quoted_in_a_short_line(scratch, capsys):
     assert main(["transform", str(scratch), "--to", "series"],
                 out=io.StringIO()) == 3
     err = capsys.readouterr().err
-    assert "malformed rational" in err and len(err.encode()) < 200
+    assert "rational past the 4300-digit limit" in err
+    assert len(err.encode()) < 200
 
 
 LONG = 5000
